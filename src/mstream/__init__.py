@@ -7,8 +7,8 @@ The package is layered:
   them (copy/discard, conditionals, ranges).
 - :mod:`mstream.stream_core` — the coinductive `Stream` of kernels: one
   tick now, the rest later, with memory glued onto the next tick.
-  Composition, feedback, exact observation (`observe`, `obs_equal`) and
-  execution (`run_det`, `sample_trace`).
+  Composition, feedback, exact observation (`observe`, `obs_equal`,
+  `first_difference`) and execution (`run_det`, `sample_trace`).
 - :mod:`mstream.sfg_ir` — a typed term IR of delayed wirings (generators,
   copy/discard/sym, `fby`/`wait`/`reg` boxes, feedback) with a type
   checker, a compiler to streams, printers/readers and a random term
@@ -97,6 +97,7 @@ from .stream_core import (
     discard_stream,
     fbk,
     fby_box,
+    first_difference,
     identity,
     lift_const,
     lift_seq,
@@ -133,10 +134,10 @@ __all__ = [
     "is_stochastic", "par_term", "perm_term", "pretty", "random_term",
     "read_term", "seq_term",
     "NStageProcess", "ShapeSeq", "Stream", "copy_stream", "delay",
-    "discard_stream", "fbk", "fby_box", "identity", "lift_const", "lift_seq",
-    "mealy", "obs_equal", "observe", "observe_marginals", "par_comp",
-    "register", "run_det", "sample_trace", "seq_comp", "state_cap",
-    "swap_stream", "wait_stream",
+    "discard_stream", "fbk", "fby_box", "first_difference", "identity",
+    "lift_const", "lift_seq", "mealy", "obs_equal", "observe",
+    "observe_marginals", "par_comp", "register", "run_det", "sample_trace",
+    "seq_comp", "state_cap", "swap_stream", "wait_stream",
     "Value", "value_str", "value_to_json",
     "__version__",
 ]

@@ -7,6 +7,12 @@ the wire is silent before tick ``delay`` and carries base values from then
 on. ``infer_type`` checks a term, ``compile`` turns it into a stream
 process, ``random_term`` generates well-typed terms for the law suites, and
 ``pretty``/``read_term`` give a parse-stable text form.
+
+Compilation maps each node onto one ``stream_core`` primitive: wiring
+leaves onto ``identity``/``swap_stream``/``copy_stream``/``discard_stream``,
+generators, constants and buffers at delay ``d`` onto ``d`` applications of
+``delay`` around ``lift_const``/``fby_box``/``wait_stream``/``register``,
+and composites onto ``seq_comp``/``par_comp``/``fbk``/``delay``.
 """
 
 from __future__ import annotations
@@ -26,25 +32,25 @@ from .kernel import (
     Kernel,
     Shape,
     const_source,
-    copy as copy_kernel,
     det_kernel,
-    discard as discard_kernel,
     dist_source,
-    identity_kernel,
-    rewire,
-    swap as swap_kernel,
     uniform,
-    unit_shape,
 )
 from .stream_core import (
     ShapeSeq,
     Stream,
+    copy_stream,
     delay as delay_stream,
+    discard_stream,
     fbk as fbk_stream,
-    lift_seq,
-    mealy,
+    fby_box,
+    identity,
+    lift_const,
     par_comp,
+    register,
     seq_comp,
+    swap_stream,
+    wait_stream,
 )
 from .values import Value, value_str
 
@@ -357,45 +363,10 @@ def infer_type(t: Term, sig: Signature, _path: tuple = ()) -> Tuple[Wires, Wires
 # Compilation
 # ---------------------------------------------------------------------------
 
-def _lift_pointwise(in_ws: Wires, out_ws: Wires,
-                    k_at: Callable[[int], Kernel]) -> Stream:
-    d = max((w.delay for w in in_ws + out_ws), default=0)
-    return lift_seq([k_at(t) for t in range(d)], k_at(d))
-
-
-def _compile_gen(spec: GenSpec, d: int) -> Stream:
-    def k_at(t):
-        return identity_kernel(unit_shape) if t < d else spec.kernel
-    return lift_seq([k_at(t) for t in range(d)], k_at(d))
-
-
-def _compile_buffer(w: WireType, kind: str) -> Stream:
-    b, d = (w.base,), w.delay
-    if kind == "fby":
-        def k_at(t):
-            if t < d:
-                return identity_kernel(unit_shape)
-            if t == d:
-                return identity_kernel(b)
-            return rewire(b + b, (1,))
-        return lift_seq([k_at(t) for t in range(d + 1)], k_at(d + 1))
-    # wait and reg hold one value from tick d on
-    in_ws = (w, w) if kind == "reg" else (w,)
-    out_ws = (w.shifted(),) if kind == "wait" else (w,)
-
-    def mem_at(t):
-        return unit_shape if t < d else b
-
-    def k_at(t):
-        if t < d:
-            return identity_kernel(unit_shape)
-        if kind == "wait":
-            return identity_kernel(b) if t == d else swap_kernel(b, b)
-        if t == d:
-            return swap_kernel(b, b)                     # (a, b) -> (b | a)
-        return rewire(b + b + b, (2, 0))                 # (m, a, b) -> (b | m)
-
-    return mealy(wires_to_seq(in_ws), wires_to_seq(out_ws), mem_at, k_at)
+def _delayed(s: Stream, d: int) -> Stream:
+    for _ in range(d):
+        s = delay_stream(s)
+    return s
 
 
 def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local name
@@ -406,37 +377,27 @@ def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local nam
 
 def _compile(t: Term, sig: Signature) -> Stream:
     if isinstance(t, Id):
-        return _lift_pointwise(t.ws, t.ws,
-                               lambda tk: identity_kernel(alive(t.ws, tk)))
+        return identity(wires_to_seq(t.ws))
+    if isinstance(t, Sym):
+        return swap_stream(wires_to_seq(t.a), wires_to_seq(t.b))
+    if isinstance(t, Copy):
+        return copy_stream(wires_to_seq(t.ws))
+    if isinstance(t, Discard):
+        return discard_stream(wires_to_seq(t.ws))
     if isinstance(t, Gen):
-        return _compile_gen(sig.lookup(t.name, t.args), t.delay)
+        return _delayed(lift_const(sig.lookup(t.name, t.args).kernel), t.delay)
     if isinstance(t, Const):
-        d = t.delay
-        src = const_source(t.value, t.base)
-
-        def k_at(tk):
-            return identity_kernel(unit_shape) if tk < d else src
-        return lift_seq([k_at(tk) for tk in range(d)], k_at(d))
+        return _delayed(lift_const(const_source(t.value, t.base)), t.delay)
+    if isinstance(t, FbyBox):
+        return _delayed(fby_box((t.w.base,)), t.w.delay)
+    if isinstance(t, Wait):
+        return _delayed(wait_stream((t.w.base,)), t.w.delay)
+    if isinstance(t, Register):
+        return _delayed(register((t.w.base,)), t.w.delay)
     if isinstance(t, Seq):
         return seq_comp(_compile(t.fst, sig), _compile(t.snd, sig))
     if isinstance(t, Par):
         return par_comp(_compile(t.fst, sig), _compile(t.snd, sig))
-    if isinstance(t, Sym):
-        return _lift_pointwise(t.a + t.b, t.b + t.a,
-                               lambda tk: swap_kernel(alive(t.a, tk),
-                                                      alive(t.b, tk)))
-    if isinstance(t, Copy):
-        return _lift_pointwise(t.ws, t.ws + t.ws,
-                               lambda tk: copy_kernel(alive(t.ws, tk)))
-    if isinstance(t, Discard):
-        return _lift_pointwise(t.ws, (),
-                               lambda tk: discard_kernel(alive(t.ws, tk)))
-    if isinstance(t, FbyBox):
-        return _compile_buffer(t.w, "fby")
-    if isinstance(t, Wait):
-        return _compile_buffer(t.w, "wait")
-    if isinstance(t, Register):
-        return _compile_buffer(t.w, "reg")
     if isinstance(t, Fbk):
         return fbk_stream(_compile(t.body, sig), wires_to_seq(t.s))
     if isinstance(t, DelayTerm):
@@ -472,36 +433,33 @@ def node_count(t: Term) -> int:
 # ---------------------------------------------------------------------------
 
 def perm_term(ws: Wires, perm: Sequence[int]) -> Term:
-    """A term permuting ``ws`` so output j is input perm[j], as layered swaps."""
+    """A term permuting ``ws`` so output j is input perm[j], as block swaps.
+
+    Output positions are filled left to right. Wires that already sit side
+    by side in the wanted order move together, by one ``Sym`` per block.
+    """
     perm = list(perm)
     if sorted(perm) != list(range(len(ws))):
         raise TermTypeError(f"not a permutation: {perm!r}")
     cur = list(range(len(ws)))
-    layers = []
-    # selection sort by adjacent transpositions
-    for j in range(len(perm)):
+    out = None
+    j = 0
+    while j < len(perm):
         i = cur.index(perm[j])
-        while i > j:
-            layer = _adjacent_swap(tuple(ws[k] for k in cur), i - 1)
-            layers.append(layer)
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-            i -= 1
-    out = Id(ws)
-    for layer in layers:
-        out = Seq(out, layer)
-    return out
-
-
-def _adjacent_swap(ws: Wires, i: int) -> Term:
-    left = Id(ws[:i]) if i else None
-    mid = Sym((ws[i],), (ws[i + 1],))
-    right = Id(ws[i + 2:]) if i + 2 < len(ws) else None
-    t = mid
-    if left is not None:
-        t = Par(left, t)
-    if right is not None:
-        t = Par(t, right)
-    return t
+        r = 1
+        while i + r < len(cur) and cur[i + r] == perm[j + r]:
+            r += 1
+        if i > j:
+            now = tuple(ws[k] for k in cur)
+            parts = [Id(now[:j])] if j else []
+            parts.append(Sym(now[j:i], now[i:i + r]))
+            if i + r < len(now):
+                parts.append(Id(now[i + r:]))
+            layer = par(*parts)
+            out = layer if out is None else Seq(out, layer)
+            cur[j:i + r] = cur[i:i + r] + cur[j:i]
+        j += r
+    return Id(ws) if out is None else out
 
 
 # ---------------------------------------------------------------------------

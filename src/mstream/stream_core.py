@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .errors import (
     NondeterministicStream,
@@ -192,10 +192,6 @@ def mealy(in_seq: ShapeSeq, out_seq: ShapeSeq,
     return stage(0)
 
 
-def identity(s: ShapeSeq) -> Stream:
-    return mealy(s, s, lambda t: unit_shape, lambda t: identity_kernel(s.at(t)))
-
-
 def lift_seq(ks: Sequence[Kernel], k_tail: Kernel) -> Stream:
     """Memoryless stream applying the t-th kernel at tick t (then the tail)."""
     ks = tuple(ks)
@@ -203,6 +199,11 @@ def lift_seq(ks: Sequence[Kernel], k_tail: Kernel) -> Stream:
     out_seq = ShapeSeq([k.out_shape for k in ks], k_tail.out_shape)
     return mealy(in_seq, out_seq, lambda t: unit_shape,
                  lambda t: ks[t] if t < len(ks) else k_tail)
+
+
+def identity(s: ShapeSeq) -> Stream:
+    return lift_seq([identity_kernel(sh) for sh in s.prefix],
+                    identity_kernel(s.tail))
 
 
 def lift_const(k: Kernel) -> Stream:
@@ -517,19 +518,26 @@ def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
     return NStageProcess(n, obs.in_shapes, obs.out_shapes, kernel)
 
 
-def obs_equal(f: Stream, g: Stream, n: int, cap: Optional[int] = None) -> bool:
-    """Exact equality of the two behaviors at every horizon k <= n."""
+def first_difference(f: Stream, g: Stream, n: int,
+                     cap: Optional[int] = None) -> Optional[int]:
+    """The first tick k <= n whose truncations of ``f`` and ``g`` differ,
+    or None when they agree at every horizon up to n."""
     if f.in_seq != g.in_seq:
         raise ShapeMismatch(f"inputs differ: {f.in_seq!r} vs {g.in_seq!r}")
     if f.out_seq != g.out_seq:
         raise ShapeMismatch(f"outputs differ: {f.out_seq!r} vs {g.out_seq!r}")
     a, b = _Observation(f, cap), _Observation(g, cap)
-    for _ in range(n + 1):
+    for k in range(n + 1):
         a.advance()
         b.advance()
         if not a.same_truncation(b):
-            return False
-    return True
+            return k
+    return None
+
+
+def obs_equal(f: Stream, g: Stream, n: int, cap: Optional[int] = None) -> bool:
+    """Exact equality of the two behaviors at every horizon k <= n."""
+    return first_difference(f, g, n, cap) is None
 
 
 # ---------------------------------------------------------------------------

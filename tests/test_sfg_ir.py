@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mstream.errors import TermTypeError
 from mstream.kernel import BOOL, INT, Dist, FinSet, IntRange, marginalize
+from mstream.lang import elaborate, parse
 from mstream.sfg_ir import (
     Const,
     Copy,
@@ -165,6 +168,25 @@ def test_compile_wait_shifts():
     assert run_det(s, [(5,), (6,), (7,)]) == [(), (5,), (6,)]
 
 
+@pytest.mark.parametrize("term, inputs, want", [
+    (FbyBox(W1), [(), (5,), (6, 1), (7, 2)], [(), (5,), (1,), (2,)]),
+    (FbyBox(W2), [(), (), (5,), (6, 1)], [(), (), (5,), (1,)]),
+    (Wait(W1), [(), (5,), (6,), (7,)], [(), (), (5,), (6,)]),
+    (Wait(W2), [(), (), (5,), (6,)], [(), (), (), (5,)]),
+    (Register(W1), [(), (9, 1), (9, 2), (9, 3)], [(), (9,), (1,), (2,)]),
+    (Register(W2), [(), (), (9, 1), (9, 2)], [(), (), (9,), (1,)]),
+    (Const(3, INT, 1), [()] * 4, [(), (3,), (3,), (3,)]),
+    (Const(3, INT, 2), [()] * 4, [(), (), (3,), (3,)]),
+    (Gen("plus", 1), [(), (1, 2), (3, 4), (5, 6)], [(), (3,), (7,), (11,)]),
+    (Gen("plus", 2), [(), (), (1, 2), (3, 4)], [(), (), (3,), (7,)]),
+])
+def test_delayed_leaf_traces(term, inputs, want):
+    s = compile_term(term, SIG)
+    iw, ow = infer_type(term, SIG)
+    assert (s.in_seq, s.out_seq) == (wires_to_seq(iw), wires_to_seq(ow))
+    assert run_det(s, inputs) == want
+
+
 def test_fbk_over_sym_compiles_to_wait():
     b = (WireType(IntRange(0, 2), 0),)
     a = (WireType(IntRange(0, 2), 1),)
@@ -197,6 +219,54 @@ def test_perm_term_with_delays():
     t = perm_term(ws, (1, 0))
     s = compile_term(t, SIG)
     assert run_det(s, [(3,), (4, False)]) == [(3,), (False, 4)]
+
+
+def _sym_count(t):
+    if isinstance(t, (Seq, Par)):
+        return _sym_count(t.fst) + _sym_count(t.snd)
+    if isinstance(t, (Fbk, DelayTerm)):
+        return _sym_count(t.body)
+    return int(isinstance(t, Sym))
+
+
+def _mixed_wires(n, shift):
+    return tuple(WireType(INT, (k + shift) % 3) for k in range(n))
+
+
+def test_perm_term_every_permutation_up_to_five_wires():
+    for n in range(6):
+        for shift in (0, 1):
+            ws = _mixed_wires(n, shift)
+            for perm in itertools.permutations(range(n)):
+                t = perm_term(ws, perm)
+                assert infer_type(t, SIG) == (ws, tuple(ws[i] for i in perm))
+                assert _sym_count(t) <= max(n - 1, 0)
+                rows = [tuple(10 * k + tk for k in range(n)
+                              if ws[k].delay <= tk) for tk in range(4)]
+                want = [tuple(10 * i + tk for i in perm
+                              if ws[i].delay <= tk) for tk in range(4)]
+                assert run_det(compile_term(t, SIG), rows) == want, perm
+
+
+def test_perm_term_moves_a_block_to_the_front_with_one_sym():
+    for n in range(6):
+        ws = _mixed_wires(n, 0)
+        for i in range(n):
+            for r in range(1, n - i + 1):
+                block = list(range(i, i + r))
+                perm = block + [k for k in range(n) if k not in block]
+                t = perm_term(ws, perm)
+                if i == 0:
+                    assert t == Id(ws)
+                else:
+                    assert _sym_count(t) == 1, perm
+
+
+def test_ehrenfest_ir_stays_small():
+    path = Path(__file__).resolve().parent.parent / "programs" / "ehrenfest.ms"
+    t = elaborate(parse(path.read_text()))
+    assert node_count(t) <= 600
+    assert _sym_count(t) <= 60
 
 
 def test_is_stochastic():

@@ -33,6 +33,7 @@ from mstream.stream_core import (
     discard_stream,
     fbk,
     fby_box,
+    first_difference,
     identity,
     lift_const,
     lift_seq,
@@ -482,6 +483,30 @@ def test_obs_equal_matches_fraction_reference():
         assert obs_equal(f, g, horizon, cap) == want
         verdicts.append(want)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_first_difference_is_first_differing_truncation():
+    horizon, cap = 3, 20_000
+    found = []
+    for seed in range(40):
+        _, t, u = random_pair_of_terms(seed)
+        f, g = compile_term(t, FIN), compile_term(u, FIN)
+        try:
+            got = first_difference(f, g, horizon, cap)
+        except StateCapExceeded:
+            continue
+        want = next((k for k in range(horizon + 1)
+                     if observe(f, k, cap).kernel.table()
+                     != observe(g, k, cap).kernel.table()), None)
+        assert got == want, f"seed {seed}"
+        found.append(got)
+    assert sum(k is None for k in found) >= 3
+    assert sum(k is not None for k in found) >= 3
+    k0 = det_kernel((), (I01,), lambda r: (0,))
+    zero = lift_const(k0)
+    late = lift_seq([k0, k0], det_kernel((), (I01,), lambda r: (1,)))
+    assert first_difference(zero, late, 1) is None
+    assert first_difference(zero, late, 5) == 2
 
 
 def test_state_cap_hit_matches_fraction_reference():
