@@ -5,8 +5,9 @@ The package is layered:
 - :mod:`mstream.kernel` — finite exact probability: bases, distributions
   with `Fraction` weights, kernels and the Markov-category structure on
   them (copy/discard, conditionals, ranges).
-- :mod:`mstream.stream_core` — the coinductive `Stream` of kernels: one
-  tick now, the rest later, with memory glued onto the next tick.
+- :mod:`mstream.stream_core` — the `Stream` of kernels: a short prefix of
+  tick kernels, then one stationary kernel, threading memory from tick to
+  tick.
   Composition, feedback, exact observation (`observe`, `obs_equal`,
   `first_difference`) and execution (`run_det`, `sample_trace`).
 - :mod:`mstream.sfg_ir` — a typed term IR of delayed wirings (generators,
@@ -101,7 +102,6 @@ from .stream_core import (
     identity,
     lift_const,
     lift_seq,
-    mealy,
     obs_equal,
     observe,
     observe_marginals,
@@ -135,7 +135,7 @@ __all__ = [
     "read_term", "seq_term",
     "NStageProcess", "ShapeSeq", "Stream", "copy_stream", "delay",
     "discard_stream", "fbk", "fby_box", "first_difference", "identity",
-    "lift_const", "lift_seq", "mealy", "obs_equal", "observe",
+    "lift_const", "lift_seq", "obs_equal", "observe",
     "observe_marginals", "par_comp", "register", "run_det", "sample_trace",
     "seq_comp", "state_cap", "swap_stream", "wait_stream",
     "Value", "value_str", "value_to_json",

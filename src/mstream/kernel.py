@@ -156,13 +156,6 @@ def enumerate_rows(shape: Shape) -> Iterator[Row]:
     return itertools.product(*(b.enumerate() for b in shape))
 
 
-def shape_card(shape: Shape) -> int:
-    n = 1
-    for b in shape:
-        n *= b.card()
-    return n
-
-
 def smallest_row(shape: Shape) -> Row:
     return tuple(b.smallest() for b in shape)
 
@@ -421,14 +414,6 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
 
     return Kernel(f.in_shape + g.in_shape, f.out_shape + g.out_shape, rule,
                   deterministic=f.deterministic and g.deterministic)
-
-
-def kernel_seq(*ks: Kernel) -> Kernel:
-    """Compose a chain of kernels left to right."""
-    out = ks[0]
-    for k in ks[1:]:
-        out = kernel_compose(out, k)
-    return out
 
 
 def kernel_eq(f: Kernel, g: Kernel) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import CausalityError, ElaborationError, ParseError, TermTypeError
-from .kernel import BOOL, INT, Base, FinSet, IntRange, UnitBase
+from .kernel import BOOL, INT, FinSet, IntRange, UnitBase
 from .sfg_ir import (
     Const,
     Copy,
@@ -531,20 +531,8 @@ def pretty_expr(e: Expr) -> str:
     return _pe(e, 0)
 
 
-def _base_str(b: Base) -> str:
-    if isinstance(b, IntRange):
-        return f"int[{b.lo}..{b.hi}]"
-    if isinstance(b, FinSet):
-        return "{" + ",".join(str(v) for v in b.values) + "}"
-    if b == INT:
-        return "int"
-    if b == BOOL:
-        return "bool"
-    return "unit"
-
-
 def _wire_str(w: WireType) -> str:
-    s = _base_str(w.base)
+    s = repr(w.base)
     return f"{s}@{w.delay}" if w.delay else s
 
 

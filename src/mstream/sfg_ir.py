@@ -593,12 +593,8 @@ def random_term(sig: Signature, size: int, seed: int) -> Term:
 # Printer / reader
 # ---------------------------------------------------------------------------
 
-def _base_str(b: Base) -> str:
-    return repr(b)
-
-
 def _wire_str(w: WireType) -> str:
-    return f"{_base_str(w.base)}@{w.delay}"
+    return f"{w.base!r}@{w.delay}"
 
 
 def _wires_str(ws: Wires) -> str:
@@ -614,7 +610,7 @@ def pretty(t: Term) -> str:
             args = "{" + ",".join(value_str(v) for v in t.args) + "}"
         return f"{t.name}{args}@{t.delay}"
     if isinstance(t, Const):
-        return f"const({value_str(t.value)}:{_base_str(t.base)})@{t.delay}"
+        return f"const({value_str(t.value)}:{t.base!r})@{t.delay}"
     if isinstance(t, Seq):
         return f"seq({pretty(t.fst)}, {pretty(t.snd)})"
     if isinstance(t, Par):

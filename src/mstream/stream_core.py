@@ -1,10 +1,15 @@
 """Coinductive synchronous stream processes.
 
 A stream process maps an input wire sequence to an output wire sequence one
-tick at a time. It is held as a deferred triple: a memory shape, a kernel
-for the current tick (tick-0 input to memory ⊗ tick-0 output), and the rest
-of the process, whose own tick-0 input carries that memory glued in front.
-Unrolling is memoized, so any finite-depth behavior is computed once.
+tick at a time, threading a memory from each tick into the next. It is held
+as a short prefix of tick kernels followed by one stationary kernel, each
+mapping (memory read ⊗ input) to (memory written ⊗ output), and this list is
+built once, when the process is composed. ``Stream.unroll`` steps it one
+tick: the rest of a process is the same list one kernel shorter, and once the
+prefix is spent the rest is the process itself, so every later tick reuses
+one kernel and that kernel's cache. Composition builds each tick's kernel
+from the two components' kernels at that tick; feedback leaves the kernels
+alone and moves the fed-back wires into memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
@@ -21,7 +26,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import (
     NondeterministicStream,
@@ -71,7 +76,7 @@ class ShapeSeq:
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix=(), tail: Shape = unit_shape):
-        prefix = tuple(tuple(s) for s in prefix)
+        prefix = tuple(map(tuple, prefix))
         tail = tuple(tail)
         while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
@@ -96,11 +101,11 @@ class ShapeSeq:
         """Prepend a memory shape onto tick 0 only."""
         return self.drop(1).cons(tuple(mem) + self.at(0))
 
-    def strip0(self, front) -> "ShapeSeq":
-        """Drop a leading block from tick 0 only."""
-        return self.drop(1).cons(_strip_front(self.at(0), front, "tick 0"))
-
     def tensor(self, other: "ShapeSeq") -> "ShapeSeq":
+        if not (other.prefix or other.tail):
+            return self
+        if not (self.prefix or self.tail):
+            return other
         n = max(len(self.prefix), len(other.prefix))
         return ShapeSeq([self.at(t) + other.at(t) for t in range(n)],
                         self.tail + other.tail)
@@ -130,75 +135,74 @@ def _strip_front(shape: Shape, front, what: str) -> Shape:
 # Streams
 # ---------------------------------------------------------------------------
 
-class Stream:
-    """A synchronous stream process between two shape sequences.
+_NO_MEM = ShapeSeq.constant(unit_shape)
 
-    ``unroll()`` yields ``(mem, now, later)``: the memory shape written at
-    this tick, the kernel ``in_seq.at(0) -> mem ⊗ out_seq.at(0)``, and the
-    rest of the process with ``mem`` glued onto its tick-0 input. The triple
-    is computed once and shape-checked against the declared sequences.
+
+class Stream:
+    """A synchronous stream process: a short prefix of tick kernels, then one
+    stationary kernel.
+
+    ``x`` is the input sequence without memory, ``out_seq`` the output
+    sequence and ``mem`` the memory: ``mem.at(t)`` is read at tick t, and
+    ``mem.at(t + 1)`` is written by it. ``kernel(t)`` is ``ks[t]`` before tick
+    ``len(ks)`` and ``tail`` from then on; it maps ``mem.at(t) ⊗ x.at(t)`` to
+    ``mem.at(t + 1) ⊗ out_seq.at(t)``. ``in_seq`` is ``x`` with ``mem.at(0)``
+    glued in front of tick 0.
+
+    The constructor pads ``ks`` with ``tail`` up to the longest shape prefix
+    and checks every tick kernel against its shapes once.
     """
 
-    __slots__ = ("in_seq", "out_seq", "_thunk", "_cell")
+    __slots__ = ("x", "out_seq", "mem", "ks", "tail", "in_seq", "_cell")
 
-    def __init__(self, in_seq: ShapeSeq, out_seq: ShapeSeq,
-                 thunk: Callable[[], tuple]):
-        self.in_seq = in_seq
-        self.out_seq = out_seq
-        self._thunk = thunk
+    def __init__(self, x: ShapeSeq, out_seq: ShapeSeq, mem: ShapeSeq,
+                 ks: Sequence[Kernel], tail: Kernel):
+        ks = tuple(ks)
+        pad = max(len(x.prefix), len(out_seq.prefix), len(mem.prefix)) - len(ks)
+        self._fill(x, out_seq, mem, ks + (tail,) * pad, tail)
+        m = mem.at(0)
+        for t, k in enumerate(self.ks + (tail,)):
+            m2 = mem.at(t + 1)
+            want_in, want_out = m + x.at(t), m2 + out_seq.at(t)
+            if k.in_shape != want_in or k.out_shape != want_out:
+                raise ShapeMismatch(
+                    f"tick {t}: kernel maps {k.in_shape!r} -> "
+                    f"{k.out_shape!r}, expected {want_in!r} -> {want_out!r}")
+            m = m2
+
+    def _fill(self, x, out_seq, mem, ks, tail):
+        self.x, self.out_seq, self.mem, self.ks, self.tail = \
+            x, out_seq, mem, ks, tail
+        m0 = mem.at(0)
+        self.in_seq = x.glue0(m0) if m0 else x
         self._cell = None
 
+    def kernel(self, t: int) -> Kernel:
+        return self.ks[t] if t < len(self.ks) else self.tail
+
     def unroll(self):
+        """``(mem.at(1), kernel(0), later)``: the memory written at tick 0, the
+        tick-0 kernel, and the stream from tick 1 on, which is this stream
+        itself once the prefix is spent."""
         if self._cell is None:
-            mem, now, later = self._thunk()
-            mem = tuple(mem)
-            if tuple(now.in_shape) != self.in_seq.at(0):
-                raise ShapeMismatch(
-                    f"now kernel consumes {now.in_shape!r}, "
-                    f"tick-0 input is {self.in_seq.at(0)!r}")
-            if tuple(now.out_shape) != mem + self.out_seq.at(0):
-                raise ShapeMismatch(
-                    f"now kernel produces {now.out_shape!r}, "
-                    f"expected {mem + self.out_seq.at(0)!r}")
-            if later.in_seq != self.in_seq.drop(1).glue0(mem):
-                raise ShapeMismatch(
-                    f"rest consumes {later.in_seq!r}, "
-                    f"expected {self.in_seq.drop(1).glue0(mem)!r}")
-            if later.out_seq != self.out_seq.drop(1):
-                raise ShapeMismatch(
-                    f"rest produces {later.out_seq!r}, "
-                    f"expected {self.out_seq.drop(1)!r}")
-            self._cell = (mem, now, later)
+            later = self
+            if self.ks:
+                later = Stream.__new__(Stream)
+                later._fill(self.x.drop(1), self.out_seq.drop(1),
+                            self.mem.drop(1), self.ks[1:], self.tail)
+            self._cell = (self.mem.at(1), self.kernel(0), later)
         return self._cell
 
     def __repr__(self):
         return f"Stream({self.in_seq!r} -> {self.out_seq!r})"
 
 
-def mealy(in_seq: ShapeSeq, out_seq: ShapeSeq,
-          mem_at: Callable[[int], Shape],
-          k_at: Callable[[int], Kernel]) -> Stream:
-    """Build a stream from per-tick kernels threading explicit memory.
-
-    ``k_at(t)`` must map ``mem_at(t-1) ⊗ in_seq.at(t)`` to
-    ``mem_at(t) ⊗ out_seq.at(t)``, with ``mem_at(-1)`` the empty shape.
-    """
-
-    def stage(t: int) -> Stream:
-        prev = unit_shape if t == 0 else tuple(mem_at(t - 1))
-        return Stream(in_seq.drop(t).glue0(prev), out_seq.drop(t),
-                      lambda: (tuple(mem_at(t)), k_at(t), stage(t + 1)))
-
-    return stage(0)
-
-
 def lift_seq(ks: Sequence[Kernel], k_tail: Kernel) -> Stream:
     """Memoryless stream applying the t-th kernel at tick t (then the tail)."""
     ks = tuple(ks)
-    in_seq = ShapeSeq([k.in_shape for k in ks], k_tail.in_shape)
-    out_seq = ShapeSeq([k.out_shape for k in ks], k_tail.out_shape)
-    return mealy(in_seq, out_seq, lambda t: unit_shape,
-                 lambda t: ks[t] if t < len(ks) else k_tail)
+    return Stream(ShapeSeq([k.in_shape for k in ks], k_tail.in_shape),
+                  ShapeSeq([k.out_shape for k in ks], k_tail.out_shape),
+                  _NO_MEM, ks, k_tail)
 
 
 def identity(s: ShapeSeq) -> Stream:
@@ -229,109 +233,103 @@ def swap_stream(sa: ShapeSeq, sb: ShapeSeq) -> Stream:
 # Composition
 # ---------------------------------------------------------------------------
 
-def _seq(f: Stream, g: Stream, a: Shape, b: Shape) -> Stream:
-    # a/b are the memory blocks already glued onto f's/g's tick-0 inputs
-    if g.in_seq.strip0(b) != f.out_seq:
-        raise ShapeMismatch(
-            f"sequential composition: {f.out_seq!r} feeds {g.in_seq!r}")
-    x0 = f.in_seq.at(0)[len(a):]
-    in_seq = f.in_seq.drop(1).cons(a + b + x0)
-    out_seq = g.out_seq
+def _tick_kernels(f: Stream, g: Stream, build) -> tuple:
+    """The tick kernels of a composite of ``f`` and ``g``: ``build`` at each
+    tick of the longer prefix, then once for the two tails.
 
-    def thunk():
-        mf, now_f, later_f = f.unroll()
-        mg, now_g, later_g = g.unroll()
-        la, lb, lmf = len(a), len(b), len(mf)
+    ``build(kf, kg, a, b, a2, b2)`` gets both tick kernels and the memory
+    widths they read (``a``, ``b``) and write (``a2``, ``b2``).
+    """
+    n = max(len(f.ks), len(g.ks))
+    a = [len(f.mem.at(t)) for t in range(n + 2)]
+    b = [len(g.mem.at(t)) for t in range(n + 2)]
+    ks = [build(f.kernel(t), g.kernel(t), a[t], b[t], a[t + 1], b[t + 1])
+          for t in range(n + 1)]
+    return tuple(ks[:n]), ks[n]
 
-        def rule(row):
-            ra, rb, rx = row[:la], row[la:la + lb], row[la + lb:]
-            out = {}
-            for ry, p in now_f.dist(ra + rx).pairs():
-                m1, y = ry[:lmf], ry[lmf:]
-                for rz, q in now_g.dist(rb + y).pairs():
-                    key = m1 + rz
-                    out[key] = out.get(key, ZERO) + p * q
-            return Dist(out)
 
-        now = Kernel(a + b + x0, mf + mg + g.out_seq.at(0), rule,
-                     deterministic=now_f.deterministic and now_g.deterministic)
-        return (mf + mg, now, _seq(later_f, later_g, mf, mg))
+def _seq_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
+    # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through kf's output y
+    def rule(row):
+        ra, rb, rx = row[:la], row[la:la + lb], row[la + lb:]
+        out = {}
+        for ry, p in kf.dist(ra + rx).pairs():
+            m1, y = ry[:la2], ry[la2:]
+            for rz, q in kg.dist(rb + y).pairs():
+                key = m1 + rz
+                out[key] = out.get(key, ZERO) + p * q
+        return Dist(out)
 
-    return Stream(in_seq, out_seq, thunk)
+    return Kernel(kf.in_shape[:la] + kg.in_shape[:lb] + kf.in_shape[la:],
+                  kf.out_shape[:la2] + kg.out_shape, rule,
+                  deterministic=kf.deterministic and kg.deterministic)
 
 
 def seq_comp(f: Stream, g: Stream) -> Stream:
     """Run ``f`` then ``g``, tick-synchronously; memories sit side by side."""
-    return _seq(f, g, unit_shape, unit_shape)
+    if g.x != f.out_seq:
+        raise ShapeMismatch(
+            f"sequential composition: {f.out_seq!r} feeds {g.x!r}")
+    ks, tail = _tick_kernels(f, g, _seq_kernel)
+    return Stream(f.x, g.out_seq, f.mem.tensor(g.mem), ks, tail)
 
 
-def _par(f: Stream, g: Stream, a: Shape, b: Shape) -> Stream:
-    x0f = f.in_seq.at(0)[len(a):]
-    x0g = g.in_seq.at(0)[len(b):]
-    in_seq = f.in_seq.drop(1).tensor(g.in_seq.drop(1)).cons(a + b + x0f + x0g)
-    out_seq = f.out_seq.tensor(g.out_seq)
+def _par_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
+    # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
+    lx = len(kf.in_shape) - la
 
-    def thunk():
-        mf, now_f, later_f = f.unroll()
-        mg, now_g, later_g = g.unroll()
-        la, lb, lx = len(a), len(b), len(x0f)
-        lmf, lmg = len(mf), len(mg)
+    def rule(row):
+        ra, rb = row[:la], row[la:la + lb]
+        rx, rx2 = row[la + lb:la + lb + lx], row[la + lb + lx:]
+        out = {}
+        for r1, p in kf.dist(ra + rx).pairs():
+            m1, y1 = r1[:la2], r1[la2:]
+            for r2, q in kg.dist(rb + rx2).pairs():
+                key = m1 + r2[:lb2] + y1 + r2[lb2:]
+                out[key] = out.get(key, ZERO) + p * q
+        return Dist(out)
 
-        def rule(row):
-            ra, rb = row[:la], row[la:la + lb]
-            rx, rx2 = row[la + lb:la + lb + lx], row[la + lb + lx:]
-            out = {}
-            for r1, p in now_f.dist(ra + rx).pairs():
-                m1, y1 = r1[:lmf], r1[lmf:]
-                for r2, q in now_g.dist(rb + rx2).pairs():
-                    key = m1 + r2[:lmg] + y1 + r2[lmg:]
-                    out[key] = out.get(key, ZERO) + p * q
-            return Dist(out)
-
-        now = Kernel(a + b + x0f + x0g,
-                     mf + mg + f.out_seq.at(0) + g.out_seq.at(0), rule,
-                     deterministic=now_f.deterministic and now_g.deterministic)
-        return (mf + mg, now, _par(later_f, later_g, mf, mg))
-
-    return Stream(in_seq, out_seq, thunk)
+    return Kernel(kf.in_shape[:la] + kg.in_shape[:lb]
+                  + kf.in_shape[la:] + kg.in_shape[lb:],
+                  kf.out_shape[:la2] + kg.out_shape[:lb2]
+                  + kf.out_shape[la2:] + kg.out_shape[lb2:], rule,
+                  deterministic=kf.deterministic and kg.deterministic)
 
 
 def par_comp(f: Stream, g: Stream) -> Stream:
     """Run ``f`` and ``g`` side by side on concatenated wires."""
-    return _par(f, g, unit_shape, unit_shape)
+    ks, tail = _tick_kernels(f, g, _par_kernel)
+    return Stream(f.x.tensor(g.x), f.out_seq.tensor(g.out_seq),
+                  f.mem.tensor(g.mem), ks, tail)
 
 
 def delay(f: Stream) -> Stream:
     """Shift ``f`` one tick into the future; tick 0 carries no wires."""
-    return Stream(f.in_seq.cons(unit_shape), f.out_seq.cons(unit_shape),
-                  lambda: (unit_shape, identity_kernel(unit_shape), f))
+    return Stream(f.x.cons(unit_shape), f.out_seq.cons(unit_shape),
+                  f.mem.cons(unit_shape),
+                  (identity_kernel(unit_shape),) + f.ks, f.tail)
 
 
 def fbk(f: Stream, s) -> Stream:
     """Close a feedback loop over the bundle sequence ``s``.
 
     ``f`` must output the block ``s.at(t)`` in front at tick t and expect the
-    block ``s.at(t-1)`` in front at tick t+1 (nothing at tick 0); the loop
-    reroutes that block through memory, one tick later.
+    block ``s.at(t-1)`` in front at tick t+1 (nothing at tick 0). The
+    kernels stay as they are: the loop moves that block into memory.
     """
     if not isinstance(s, ShapeSeq):
         s = ShapeSeq.constant(s)
-    n = max(len(f.in_seq.prefix), len(f.out_seq.prefix), len(s.prefix) + 1, 1)
-    in_seq = ShapeSeq(
-        [f.in_seq.at(0)] + [_strip_front(f.in_seq.at(t), s.at(t - 1),
-                                         f"feedback input, tick {t}")
-                            for t in range(1, n)],
-        _strip_front(f.in_seq.tail, s.tail, "feedback input tail"))
+    fed = s.cons(unit_shape)
+    n = max(len(f.x.prefix), len(f.out_seq.prefix), len(fed.prefix))
+    x = ShapeSeq(
+        [_strip_front(f.x.at(t), fed.at(t), f"feedback input, tick {t}")
+         for t in range(n)],
+        _strip_front(f.x.tail, fed.tail, "feedback input tail"))
     out_seq = ShapeSeq(
         [_strip_front(f.out_seq.at(t), s.at(t), f"feedback output, tick {t}")
          for t in range(n)],
         _strip_front(f.out_seq.tail, s.tail, "feedback output tail"))
-
-    def thunk():
-        mem, now, later = f.unroll()
-        return (mem + s.at(0), now, fbk(later, s.drop(1)))
-
-    return Stream(in_seq, out_seq, thunk)
+    return Stream(x, out_seq, f.mem.tensor(fed), f.ks, f.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +357,8 @@ def register(shape) -> Stream:
     two = shape + shape
     k0 = swap(shape, shape)  # (a, b) -> (store b, emit a)
     kt = rewire(shape + two, tuple(range(2 * n, 3 * n)) + tuple(range(n)))
-    return mealy(ShapeSeq.constant(two), ShapeSeq.constant(shape),
-                 lambda t: shape, lambda t: k0 if t == 0 else kt)
+    return Stream(ShapeSeq.constant(two), ShapeSeq.constant(shape),
+                  ShapeSeq((unit_shape,), shape), (k0,), kt)
 
 
 def wait_stream(shape) -> Stream:
@@ -368,8 +366,8 @@ def wait_stream(shape) -> Stream:
     shape = tuple(shape)
     k0 = identity_kernel(shape)  # x -> (store x | no output)
     kt = swap(shape, shape)      # (m, x) -> (store x, emit m)
-    return mealy(ShapeSeq.constant(shape), ShapeSeq((unit_shape,), shape),
-                 lambda t: shape, lambda t: k0 if t == 0 else kt)
+    return Stream(ShapeSeq.constant(shape), ShapeSeq((unit_shape,), shape),
+                  ShapeSeq((unit_shape,), shape), (k0,), kt)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +396,12 @@ class _Observation:
         self.scale = 1
 
     def advance(self) -> None:
-        cur = self.stream
-        mem, now, later = cur.unroll()
-        x_shape = cur.in_seq.at(0)[self.mem_len:]
+        x_shape = self.stream.x.at(0)
+        mem, now, later = self.stream.unroll()
         if not shape_enumerable(x_shape):
             raise NotEnumerable(
                 f"cannot observe over non-enumerable input {x_shape!r}")
-        y_shape = cur.out_seq.at(0)
+        y_shape = self.stream.out_seq.at(0)
         lm_old, lm_new = self.mem_len, len(mem)
         x_rows = list(enumerate_rows(x_shape))
         mems = {prev[:lm_old] for w in self.j.values() for prev in w}
@@ -551,6 +548,20 @@ def _input_row(inputs, t: int, x_shape: Shape):
     return x
 
 
+def _trace(f: Stream, inputs, n: int, choose) -> list:
+    """Output rows of ticks 0..n, taking ``choose(t, dist)`` as tick t's
+    memory and output row."""
+    cur, m_row = f, ()
+    trace = []
+    for t in range(n + 1):
+        x = _input_row(inputs, t, cur.x.at(0))
+        mem, now, cur = cur.unroll()
+        row = choose(t, now.dist(m_row + x))
+        m_row = row[:len(mem)]
+        trace.append(row[len(mem):])
+    return trace
+
+
 def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
     """Evaluate a deterministic stream tickwise; returns the output rows.
 
@@ -562,20 +573,14 @@ def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
         if inputs is None:
             raise ValueError("run_det needs inputs or an explicit tick count")
         n = len(inputs) - 1
-    cur, m_row, mem_len = f, (), 0
-    trace = []
-    for t in range(n + 1):
-        mem, now, later = cur.unroll()
-        x = _input_row(inputs, t, cur.in_seq.at(0)[mem_len:])
-        d = now.dist(m_row + x)
+
+    def point(t, d):
         if not d.is_dirac:
             raise NondeterministicStream(
                 f"tick {t}: kernel produced a non-point distribution")
-        row = d.the_value()
-        m_row = row[:len(mem)]
-        trace.append(row[len(mem):])
-        cur, mem_len = later, len(mem)
-    return trace
+        return d.the_value()
+
+    return _trace(f, inputs, n, point)
 
 
 def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
@@ -585,17 +590,8 @@ def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
     deterministic streams this equals run_det for every seed.
     """
     g = SplitMix64(seed)
-    cur, m_row, mem_len = f, (), 0
-    trace = []
-    for t in range(n + 1):
-        mem, now, later = cur.unroll()
-        x = _input_row(inputs, t, cur.in_seq.at(0)[mem_len:])
-        d = now.dist(m_row + x)
-        row = d.the_value() if d.is_dirac else sample(d, g.next_fraction())
-        m_row = row[:len(mem)]
-        trace.append(row[len(mem):])
-        cur, mem_len = later, len(mem)
-    return trace
+    return _trace(f, inputs, n, lambda t, d: d.the_value() if d.is_dirac
+                  else sample(d, g.next_fraction()))
 
 
 def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:

@@ -320,8 +320,23 @@ def test_random_terms_compile_and_unroll():
         t = random_term(FIN, 8, seed=777 + s)
         st = compile_term(t, FIN)
         cur = st
-        for _ in range(4):  # shape checks run inside unroll
+        for _ in range(4):  # shape checks run at construction
             _, _, cur = cur.unroll()
+
+
+def test_unroll_chain_closes_into_fixed_point():
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    streams = [compile_term(elaborate(parse(p.read_text())), SIG)
+               for p in sorted(programs.glob("*.ms"))]
+    streams += [compile_term(random_term(FIN, 8, seed=4_040 + s), FIN)
+                for s in range(40)]
+    for st in streams:
+        cur = st
+        for _ in range(len(st.ks) + 1):
+            _, now, cur = cur.unroll()
+        _, now_next, later = cur.unroll()
+        assert later is cur, st
+        assert now_next is now, st
 
 
 def test_random_terms_observable():

@@ -37,7 +37,6 @@ from mstream.stream_core import (
     identity,
     lift_const,
     lift_seq,
-    mealy,
     obs_equal,
     observe,
     observe_marginals,
@@ -294,6 +293,21 @@ def test_observe_state_cap():
     assert e.value.size > e.value.cap == 10
 
 
+def test_stream_checks_tick_kernels_at_construction():
+    # fits tick 0, but from tick 1 on the kernel must read the stored (I3,)
+    k = Kernel((), (I3, I01), lambda r: None)
+    kt = Kernel((I3,), (I3, I01), lambda r: None)
+    mem = ShapeSeq([()], (I3,))
+    with pytest.raises(ShapeMismatch, match=r"^tick 1: kernel maps \(\) -> "):
+        Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)), mem, (), k)
+    s = Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)), mem, (k,), kt)
+    assert s.ks == (k,) and s.kernel(1) is kt
+    f = lift_const(identity_kernel((I01,)))
+    g = lift_const(identity_kernel((BOOL,)))
+    with pytest.raises(ShapeMismatch):
+        seq_comp(f, g)
+
+
 def test_memoized_unroll_is_stable():
     w = walk_stream()
     assert w.unroll() is w.unroll()
@@ -435,8 +449,8 @@ def hidden_draw_stream(d):
     joint = Dist({(m,) + y: F(1, 3) * q for m in range(3) for y, q in d.items()})
     k0 = Kernel((), (I3, I01), lambda r: joint)
     kt = Kernel((I3,), (I3, I01), lambda r: joint)
-    return mealy(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
-                 lambda t: (I3,), lambda t: k0 if t == 0 else kt)
+    return Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
+                  ShapeSeq([()], (I3,)), (k0,), kt)
 
 
 def test_observe_matches_fraction_reference_on_random_terms():
