@@ -13,11 +13,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .errors import BadIndex, EmptySupport, NotEnumerable, ShapeMismatch
-from .values import Row, Value, is_value, row_key, value_key, value_str
+from .values import Row, Value, is_value, value_key, value_str
 
+#: Every Dirac table holds this one object. The product rules below pass the
+#: other factor through when a mass ``is ONE``, so Dirac rows multiply
+#: nothing; a mass equal to 1 but another object is multiplied exactly.
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
@@ -172,24 +175,28 @@ class Dist:
     """Exact finite-support distribution over values.
 
     Entries with zero mass are pruned at construction and the total mass must
-    be exactly 1. Instances are immutable and compare by table equality.
+    be exactly 1. Masses already of type ``Fraction`` are kept, not copied;
+    any other mass is converted with ``Fraction(q)``. Instances are immutable
+    and compare by table equality.
     """
 
     __slots__ = ("_p",)
 
     def __init__(self, mapping):
         p = {}
-        total = ZERO
+        total = None
         for v, q in mapping.items() if isinstance(mapping, dict) else mapping:
-            q = Fraction(q)
-            if q < 0:
-                raise ValueError(f"negative mass {q} at {v!r}")
-            if q == 0:
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            if q.numerator <= 0:
+                if q.numerator < 0:
+                    raise ValueError(f"negative mass {q} at {v!r}")
                 continue
-            p[v] = p.get(v, ZERO) + q
-            total += q
+            r = p.get(v)
+            p[v] = q if r is None else r + q
+            total = q if total is None else total + q
         if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
+            raise ValueError(f"masses sum to {total or 0}, not 1")
         self._p = p
 
     def __getitem__(self, v) -> Fraction:
@@ -236,7 +243,8 @@ class Dist:
         out = {}
         for v, q in self._p.items():
             w = f(v)
-            out[w] = out.get(w, ZERO) + q
+            r = out.get(w)
+            out[w] = q if r is None else r + q
         return Dist(out)
 
     def to_json(self):
@@ -392,7 +400,9 @@ def kernel_compose(f: Kernel, g: Kernel) -> Kernel:
         out = {}
         for y, p in f.dist(row)._p.items():
             for z, q in g.dist(y)._p.items():
-                out[z] = out.get(z, ZERO) + p * q
+                pq = q if p is ONE else p if q is ONE else p * q
+                r = out.get(z)
+                out[z] = pq if r is None else r + pq
         return Dist(out)
 
     return Kernel(f.in_shape, g.out_shape, rule,
@@ -409,7 +419,7 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
         out = {}
         for y, p in df._p.items():
             for y2, q in dg._p.items():
-                out[y + y2] = p * q
+                out[y + y2] = q if p is ONE else p if q is ONE else p * q
         return Dist(out)
 
     return Kernel(f.in_shape + g.in_shape, f.out_shape + g.out_shape, rule,
@@ -451,7 +461,8 @@ def conditional(f: Kernel, split: int):
         for full, p in joint._p.items():
             if full[:split] == x:
                 y = full[split:]
-                masses[y] = masses.get(y, ZERO) + p
+                r = masses.get(y)
+                masses[y] = p if r is None else r + p
                 total += p
         if total == 0:
             return dirac(smallest_row(y_shape))
@@ -490,7 +501,9 @@ def triangle(f: Kernel, g: Kernel) -> Kernel:
         out = {}
         for x, p in f.dist(a)._p.items():
             for y, q in g.dist(x + a)._p.items():
-                out[x + y] = out.get(x + y, ZERO) + p * q
+                pq = q if p is ONE else p if q is ONE else p * q
+                r = out.get(x + y)
+                out[x + y] = pq if r is None else r + pq
         return Dist(out)
 
     return Kernel(f.in_shape, f.out_shape + g.out_shape, rule,

@@ -26,7 +26,6 @@ from .sfg_ir import (
     FbyBox,
     Gen,
     Id,
-    Par,
     Register,
     Sym,
     Term,

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .kernel import (
     ONE,
-    ZERO,
     Dist,
     Kernel,
     Shape,
@@ -257,7 +256,9 @@ def _seq_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
             m1, y = ry[:la2], ry[la2:]
             for rz, q in kg.dist(rb + y).pairs():
                 key = m1 + rz
-                out[key] = out.get(key, ZERO) + p * q
+                pq = q if p is ONE else p if q is ONE else p * q
+                r = out.get(key)
+                out[key] = pq if r is None else r + pq
         return Dist(out)
 
     return Kernel(kf.in_shape[:la] + kg.in_shape[:lb] + kf.in_shape[la:],
@@ -286,7 +287,9 @@ def _par_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
             m1, y1 = r1[:la2], r1[la2:]
             for r2, q in kg.dist(rb + rx2).pairs():
                 key = m1 + r2[:lb2] + y1 + r2[lb2:]
-                out[key] = out.get(key, ZERO) + p * q
+                pq = q if p is ONE else p if q is ONE else p * q
+                r = out.get(key)
+                out[key] = pq if r is None else r + pq
         return Dist(out)
 
     return Kernel(kf.in_shape[:la] + kg.in_shape[:lb]
@@ -613,15 +616,19 @@ def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:
         joint = {}
         for m, p in w.items():
             for row, q in now.dist(m).pairs():
-                joint[row] = joint.get(row, ZERO) + p * q
+                pq = q if p is ONE else p if q is ONE else p * q
+                r = joint.get(row)
+                joint[row] = pq if r is None else r + pq
         if len(joint) > limit:
             raise StateCapExceeded(len(joint), limit)
         marg = {}
         w = {}
         for row, p in joint.items():
-            y = row[lm:]
-            marg[y] = marg.get(y, ZERO) + p
-            w[row[:lm]] = w.get(row[:lm], ZERO) + p
+            y, m = row[lm:], row[:lm]
+            r = marg.get(y)
+            marg[y] = p if r is None else r + p
+            r = w.get(m)
+            w[m] = p if r is None else r + p
         result.append(Dist(marg))
         cur = later
     return result

@@ -44,10 +44,6 @@ def value_key(v: Value):
     raise TypeError(f"not a value: {v!r}")
 
 
-def row_key(row: Row):
-    return tuple(value_key(v) for v in row)
-
-
 def value_str(v: Value) -> str:
     """Compact canonical text form, used as JSON object keys."""
     if v is None:

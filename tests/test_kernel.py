@@ -7,6 +7,7 @@ from mstream.errors import BadIndex, EmptySupport, NotEnumerable, ShapeMismatch
 from mstream.kernel import (
     BOOL,
     INT,
+    ONE,
     UNIT,
     Dist,
     FinSet,
@@ -83,6 +84,36 @@ def test_dist_prunes_zeros_and_checks_total():
         Dist({0: F(1, 3)})
     with pytest.raises(ValueError):
         Dist({0: F(3, 2), 1: F(-1, 2)})
+
+
+def test_dist_contract_messages():
+    with pytest.raises(ValueError, match=r"^negative mass -1/2 at 1$"):
+        Dist({0: F(3, 2), 1: F(-1, 2)})
+    with pytest.raises(ValueError, match=r"^negative mass -1 at 'a'$"):
+        Dist([("a", -1), ("b", 2)])
+    with pytest.raises(ValueError, match=r"^masses sum to 1/3, not 1$"):
+        Dist({0: F(1, 3)})
+    with pytest.raises(ValueError, match=r"^masses sum to 5/4, not 1$"):
+        Dist([(0, F(3, 4)), (0, F(1, 2))])
+    for empty in ({}, [], {0: F(0)}, [(1, 0), (2, False)]):
+        with pytest.raises(ValueError, match=r"^masses sum to 0, not 1$"):
+            Dist(empty)
+
+
+def test_dist_prunes_sums_duplicates_and_converts():
+    d = Dist({0: F(0), 1: F(1, 4), 2: 0, 3: F(3, 4)})
+    assert d.support() == [1, 3] and len(d) == 2
+    d = Dist([(0, F(1, 4)), (1, F(1, 2)), (0, F(1, 4)), (2, F(0))])
+    assert d.items() == [(0, F(1, 2)), (1, F(1, 2))]
+    for mass in (1, True):
+        d = Dist({7: mass})
+        assert type(d[7]) is Fraction and d[7] == 1
+    d = Dist([(0, 1), (1, 0), (0, 0)])
+    assert type(d[0]) is Fraction and d.support() == [0]
+    # a Fraction mass is kept as the same object, so Dirac tables share ONE
+    q = F(1, 3)
+    assert Dist({0: q, 1: F(2, 3)})[0] is q
+    assert dirac(5)[5] is ONE
 
 
 def test_uniform_rejects_bad_input():
@@ -368,6 +399,75 @@ def test_triangle_associative_up_to_permutation():
         # f ◁ (g ◁ h)
         rhs = triangle(f, triangle(g, h))
         assert kernel_eq(lhs, rhs)
+
+
+def fresh_units(k):
+    """``k`` with every unit mass replaced by a fresh ``Fraction(3, 3)``."""
+    def rule(row):
+        return Dist({v: F(3, 3) if q == 1 else q for v, q in k.dist(row).pairs()})
+    return Kernel(k.in_shape, k.out_shape, rule, deterministic=k.deterministic)
+
+
+def kernel_variants(a, b, rng):
+    """A stochastic kernel, a Dirac kernel built on ONE, and a Dirac kernel
+    whose unit masses are equal to ONE but other objects."""
+    return (random_kernel(a, b, rng),
+            random_kernel(a, b, rng, deterministic=True),
+            fresh_units(random_kernel(a, b, rng, deterministic=True)))
+
+
+def ref_table(k, rule):
+    """``rule(row, out)`` fills ``out`` with plain Fraction accumulation."""
+    ref = {}
+    for row in enumerate_rows(k.in_shape):
+        out = {}
+        rule(row, out)
+        ref[row] = out
+    return ref
+
+
+def exact_table(k):
+    got = {row: dict(k.dist(row).pairs()) for row in enumerate_rows(k.in_shape)}
+    assert all(type(q) is Fraction for t in got.values() for q in t.values())
+    return got
+
+
+def test_product_rules_match_fraction_reference():
+    assert F(3, 3) == ONE and F(3, 3) is not ONE
+    rng = random.Random(37)
+    a, x, y = (IntRange(0, 1),), (IntRange(0, 2),), (BOOL, IntRange(0, 1))
+    for _ in range(6):
+        for f in kernel_variants(a, x, rng):
+            for g in kernel_variants(x, y, rng):
+                def compose(row, out, f=f, g=g):
+                    for u, p in f.dist(row).pairs():
+                        for z, q in g.dist(u).pairs():
+                            out[z] = out.get(z, F(0)) + p * q
+
+                def tensor(row, out, f=f, g=g):
+                    for u, p in f.dist(row[:1]).pairs():
+                        for z, q in g.dist(row[1:]).pairs():
+                            out[u + z] = out.get(u + z, F(0)) + p * q
+
+                k = kernel_compose(f, g)
+                assert exact_table(k) == ref_table(k, compose)
+                k = kernel_tensor(f, g)
+                assert exact_table(k) == ref_table(k, tensor)
+            for g in kernel_variants(x + a, y, rng):
+                def tri(row, out, f=f, g=g):
+                    for u, p in f.dist(row).pairs():
+                        for z, q in g.dist(u + row).pairs():
+                            out[u + z] = out.get(u + z, F(0)) + p * q
+
+                k = triangle(f, g)
+                assert exact_table(k) == ref_table(k, tri)
+    # Dirac after Dirac passes the shared unit mass through untouched
+    f, g = (random_kernel(s, t, rng, deterministic=True)
+            for s, t in ((a, x), (x, y)))
+    fg = kernel_compose(f, g)
+    for row in enumerate_rows(a):
+        (q,) = [q for _, q in fg.dist(row).pairs()]
+        assert q is ONE
 
 
 def test_triangle_shape_mismatch():

@@ -534,3 +534,69 @@ def test_state_cap_hit_matches_fraction_reference():
         assert got == want, f"seed {seed}"
         hits += want is not None
     assert hits >= 10
+
+
+def fresh_unit_stream(s):
+    """``s`` with every unit mass in its tick kernels replaced by a fresh
+    ``Fraction(3, 3)``, equal to ``ONE`` but another object."""
+    def refresh(k):
+        def rule(row):
+            return Dist({v: F(3, 3) if q == 1 else q
+                         for v, q in k.dist(row).pairs()})
+        return Kernel(k.in_shape, k.out_shape, rule, deterministic=k.deterministic)
+    return Stream(s.x, s.out_seq, s.mem, tuple(map(refresh, s.ks)), refresh(s.tail))
+
+
+def ref_seq_rule(kf, kg, la, lb, la2, lb2, row):
+    ra, rb, rx = row[:la], row[la:la + lb], row[la + lb:]
+    out = {}
+    for ry, p in kf.dist(ra + rx).pairs():
+        for rz, q in kg.dist(rb + ry[la2:]).pairs():
+            key = ry[:la2] + rz
+            out[key] = out.get(key, F(0)) + p * q
+    return out
+
+
+def ref_par_rule(kf, kg, la, lb, la2, lb2, row):
+    lx = len(kf.in_shape) - la
+    ra, rb = row[:la], row[la:la + lb]
+    rx, rx2 = row[la + lb:la + lb + lx], row[la + lb + lx:]
+    out = {}
+    for r1, p in kf.dist(ra + rx).pairs():
+        for r2, q in kg.dist(rb + rx2).pairs():
+            key = r1[:la2] + r2[:lb2] + r1[la2:] + r2[lb2:]
+            out[key] = out.get(key, F(0)) + p * q
+    return out
+
+
+def test_tick_kernel_products_match_fraction_reference():
+    rows_cap = 400
+    compared = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        iw, mw, ow = (random_wires(rng, 0, 2), random_wires(rng, 1, 2),
+                      random_wires(rng, 1, 2))
+        f = compile_term(random_term_of_type(rng, FIN, iw, mw, 5), FIN)
+        g = compile_term(random_term_of_type(rng, FIN, mw, ow, 5), FIN)
+        h = compile_term(random_term_of_type(rng, FIN, iw, ow, 5), FIN)
+        if seed % 3:
+            f = fresh_unit_stream(f)
+        if seed % 2:
+            g = fresh_unit_stream(g)
+        for comp, rule, left, right in ((seq_comp, ref_seq_rule, f, g),
+                                        (par_comp, ref_par_rule, f, h)):
+            s = comp(left, right)
+            for t in range(len(s.ks) + 2):
+                k = s.kernel(t)
+                rows = list(enumerate_rows(k.in_shape))
+                if len(rows) > rows_cap:
+                    continue
+                widths = (len(left.mem.at(t)), len(right.mem.at(t)),
+                          len(left.mem.at(t + 1)), len(right.mem.at(t + 1)))
+                for row in rows:
+                    got = dict(k.dist(row).pairs())
+                    want = rule(left.kernel(t), right.kernel(t), *widths, row)
+                    assert got == want, f"seed {seed}, {comp.__name__}, tick {t}"
+                    assert all(type(q) is Fraction for q in got.values())
+                compared += 1
+    assert compared >= 150
