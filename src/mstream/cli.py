@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -51,21 +50,6 @@ from .stream_core import (
     sample_trace,
 )
 from .values import value_str, value_to_json
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    source: str
-    main: Optional[str] = None
-    steps: int = 9
-    backend: str = "det"  # "det" | "stoch"
-    mode: str = "run"  # "run" | "sample" | "exact"
-    seed: int = 0
-    trials: int = 1
-    state_cap: Optional[int] = None
-    fmt: str = "json"  # "json" | "csv" | "plain"
-    inputs: Optional[str] = None
-    joint: bool = False
 
 
 def _json_to_value(x):
@@ -110,26 +94,26 @@ def _load_term(source, main, sig):
     return read_term(source)
 
 
-def _build(cfg: RunConfig, sig: Signature):
-    term = _load_term(cfg.source, cfg.main, sig)
+def _build(args, sig: Signature):
+    term = _load_term(args.source, args.main, sig)
     return term, compile_term(term, sig)
 
 
-def _input_rows(cfg, stream):
+def _input_rows(args, stream):
     open_program = any(stream.in_seq.at(t) != ()
-                       for t in range(cfg.steps + 1))
-    if cfg.inputs is None:
+                       for t in range(args.steps + 1))
+    if args.inputs is None:
         if open_program:
             raise ShapeMismatch(
                 "the program has inputs; provide --inputs FILE "
                 "(JSON lines, one array per tick)")
         return None
-    rows = _read_inputs(cfg.inputs)
-    if len(rows) < cfg.steps + 1:
+    rows = _read_inputs(args.inputs)
+    if len(rows) < args.steps + 1:
         raise ShapeMismatch(
-            f"--steps {cfg.steps} needs {cfg.steps + 1} input rows, "
+            f"--steps {args.steps} needs {args.steps + 1} input rows, "
             f"got {len(rows)}")
-    return rows[:cfg.steps + 1]
+    return rows[:args.steps + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -208,46 +192,43 @@ def _dist_lines(dists, fmt, joint_row=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_run(cfg: RunConfig) -> list:
+def cmd_run(args: argparse.Namespace) -> list:
     sig = default_signature()
-    term, stream = _build(cfg, sig)
-    rows = _input_rows(cfg, stream)
-    if cfg.backend == "det":
+    term, stream = _build(args, sig)
+    rows = _input_rows(args, stream)
+    if args.backend == "det":
         if is_stochastic(term, sig):
             raise NondeterministicStream(
                 "the program samples; rerun with --backend stoch or use "
                 "`mstream sample`")
-        trace = run_det(stream, rows, cfg.steps)
+        trace = run_det(stream, rows, args.steps)
     else:
-        trace = sample_trace(stream, rows, cfg.steps, cfg.seed)
-    return _trace_lines(trace, cfg.fmt)
+        trace = sample_trace(stream, rows, args.steps, args.seed)
+    return _trace_lines(trace, args.fmt)
 
 
-def cmd_sample(cfg: RunConfig) -> list:
-    _, stream = _build(cfg, default_signature())
-    rows = _input_rows(cfg, stream)
-    traces = [sample_trace(stream, rows, cfg.steps, mix(cfg.seed, i))
-              for i in range(cfg.trials)]
+def cmd_sample(args: argparse.Namespace) -> list:
+    _, stream = _build(args, default_signature())
+    rows = _input_rows(args, stream)
+    traces = [sample_trace(stream, rows, args.steps, mix(args.seed, i))
+              for i in range(args.trials)]
     lines = []
     for i, tr in enumerate(traces):
-        lines.extend(_trace_lines(tr, cfg.fmt, trial=i))
+        lines.extend(_trace_lines(tr, args.fmt, trial=i))
     return lines
 
 
-def cmd_exact(cfg: RunConfig) -> list:
-    _, stream = _build(cfg, default_signature())
-    if cfg.inputs is not None:
-        raise ShapeMismatch("exact mode takes no --inputs; it enumerates "
-                            "closed programs")
-    dists = observe_marginals(stream, cfg.steps, cfg.state_cap)
+def cmd_exact(args: argparse.Namespace) -> list:
+    _, stream = _build(args, default_signature())
+    dists = observe_marginals(stream, args.steps, args.state_cap)
     joint_row = None
-    if cfg.joint:
-        proc = observe(stream, cfg.steps, cfg.state_cap)
+    if args.joint:
+        proc = observe(stream, args.steps, args.state_cap)
         joint_row = {
             "joint": _dist_json(proc.dist(())),
             "slices": [[r.start, r.stop] for r in proc.out_slices()],
         }
-    return _dist_lines(dists, cfg.fmt, joint_row)
+    return _dist_lines(dists, args.fmt, joint_row)
 
 
 def cmd_check(a: str, b: str, horizon: int, main: Optional[str],
@@ -361,22 +342,9 @@ def main(argv=None) -> int:
             code, lines = cmd_check(args.a, args.b, args.horizon, args.main,
                                     args.fmt, args.state_cap)
         else:
-            cfg = RunConfig(
-                source=args.source,
-                main=args.main,
-                steps=args.steps,
-                backend=getattr(args, "backend", "det"),
-                mode=args.cmd,
-                seed=getattr(args, "seed", 0),
-                trials=getattr(args, "trials", 1),
-                state_cap=args.state_cap,
-                fmt=args.fmt,
-                inputs=getattr(args, "inputs", None),
-                joint=getattr(args, "joint", False),
-            )
             code = 0
             lines = {"run": cmd_run, "sample": cmd_sample,
-                     "exact": cmd_exact}[args.cmd](cfg)
+                     "exact": cmd_exact}[args.cmd](args)
     except ParseError as e:
         print(f"mstream: syntax error: {e}", file=sys.stderr)
         return 2

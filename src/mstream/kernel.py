@@ -42,9 +42,6 @@ class Base:
     def enumerable(self) -> bool:
         return True
 
-    def card(self) -> int:
-        return len(self.enumerate())
-
     def smallest(self) -> Value:
         return self.enumerate()[0]
 
@@ -86,9 +83,6 @@ class IntBase(Base):
     @property
     def enumerable(self):
         return False
-
-    def card(self):
-        raise NotEnumerable("int is not enumerable")
 
     def smallest(self):
         raise NotEnumerable("int has no smallest element")
@@ -302,18 +296,15 @@ class Kernel:
     """A one-tick stochastic map between wire bundles.
 
     ``rule`` sends each input row to a :class:`Dist` over output rows; it is
-    cached per row, so repeated observation of the same state is cheap. The
-    ``deterministic`` flag is a guarantee, not an analysis: ``True`` means
-    every output is Dirac (constructors only set it when that is certain).
+    cached per row, so repeated observation of the same state is cheap.
     """
 
-    __slots__ = ("in_shape", "out_shape", "deterministic", "_rule", "_cache")
+    __slots__ = ("in_shape", "out_shape", "_rule", "_cache")
 
     def __init__(self, in_shape: Shape, out_shape: Shape,
-                 rule: Callable[[Row], Dist], deterministic: bool = False):
+                 rule: Callable[[Row], Dist]):
         self.in_shape = tuple(in_shape)
         self.out_shape = tuple(out_shape)
-        self.deterministic = deterministic
         self._rule = rule
         self._cache = {}
 
@@ -325,9 +316,6 @@ class Kernel:
             self._cache[row] = d
         return d
 
-    def __call__(self, row: Row) -> Dist:
-        return self.dist(row)
-
     def table(self) -> dict:
         """Materialize the full table; requires an enumerable input shape."""
         return {row: self.dist(row) for row in enumerate_rows(self.in_shape)}
@@ -338,13 +326,12 @@ class Kernel:
 
 def det_kernel(in_shape, out_shape, fn: Callable[[Row], Row]) -> Kernel:
     """Kernel of a function on rows (all outputs Dirac)."""
-    return Kernel(in_shape, out_shape, lambda row: dirac(fn(row)), deterministic=True)
+    return Kernel(in_shape, out_shape, lambda row: dirac(fn(row)))
 
 
 def const_dist_kernel(out_shape, d: Dist) -> Kernel:
     """A source: ignores its (unit) input and emits ``d`` over rows."""
-    return Kernel(unit_shape, out_shape, lambda row: d,
-                  deterministic=d.is_dirac)
+    return Kernel(unit_shape, out_shape, lambda row: d)
 
 
 def dist_source(d: Dist, base: Base) -> Kernel:
@@ -405,8 +392,7 @@ def kernel_compose(f: Kernel, g: Kernel) -> Kernel:
                 out[z] = pq if r is None else r + pq
         return Dist(out)
 
-    return Kernel(f.in_shape, g.out_shape, rule,
-                  deterministic=f.deterministic and g.deterministic)
+    return Kernel(f.in_shape, g.out_shape, rule)
 
 
 def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
@@ -422,8 +408,7 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
                 out[y + y2] = q if p is ONE else p if q is ONE else p * q
         return Dist(out)
 
-    return Kernel(f.in_shape + g.in_shape, f.out_shape + g.out_shape, rule,
-                  deterministic=f.deterministic and g.deterministic)
+    return Kernel(f.in_shape + g.in_shape, f.out_shape + g.out_shape, rule)
 
 
 def kernel_eq(f: Kernel, g: Kernel) -> bool:
@@ -449,7 +434,7 @@ def conditional(f: Kernel, split: int):
     def marg_rule(a):
         return f.dist(a).map(lambda row: row[:split])
 
-    f_x = Kernel(a_shape, x_shape, marg_rule, deterministic=f.deterministic)
+    f_x = Kernel(a_shape, x_shape, marg_rule)
 
     nx = len(x_shape)
 
@@ -506,8 +491,7 @@ def triangle(f: Kernel, g: Kernel) -> Kernel:
                 out[x + y] = pq if r is None else r + pq
         return Dist(out)
 
-    return Kernel(f.in_shape, f.out_shape + g.out_shape, rule,
-                  deterministic=f.deterministic and g.deterministic)
+    return Kernel(f.in_shape, f.out_shape + g.out_shape, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -534,5 +518,4 @@ def random_kernel(in_shape, out_shape, rng, deterministic=False,
             table[row] = dirac(rng.choice(rows_out))
         else:
             table[row] = random_dist(rows_out, rng, max_support)
-    return Kernel(in_shape, out_shape, lambda row: table[row],
-                  deterministic=deterministic)
+    return Kernel(in_shape, out_shape, lambda row: table[row])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import CausalityError, ElaborationError, ParseError, TermTypeError
-from .kernel import BOOL, INT, FinSet, IntRange, UnitBase
+from .kernel import INT
 from .sfg_ir import (
     Const,
     Copy,
@@ -31,6 +31,7 @@ from .sfg_ir import (
     Term,
     Wait,
     WireType,
+    _TokenParser,
     par,
     perm_term,
     seq,
@@ -144,122 +145,14 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
-# ---------------------------------------------------------------------------
-
-_KEYWORDS = frozenset({"fby", "wait", "unif", "input"})
-_SYMBOLS = "+-*(){}[],:;@="
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "int" | "name" | "op" | "nl" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src):
-    toks = []
-    line, col = 1, 1
-    depth = 0
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "-" and i + 1 < n and src[i + 1] == "-":
-            while i < n and src[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if c == "\n":
-            if depth == 0:
-                toks.append(_Tok("nl", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            toks.append(_Tok("nl", ";", line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "." and i + 1 < n and src[i + 1] == ".":
-            toks.append(_Tok("op", "..", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _SYMBOLS:
-            if c in "({[":
-                depth += 1
-            elif c in ")}]":
-                depth = max(0, depth - 1)
-            toks.append(_Tok("op", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, src):
-        self.toks = _tokenize(src)
-        self.i = 0
+_KEYWORDS = frozenset({"fby", "wait", "unif", "input"})
 
-    def peek(self):
-        return self.toks[self.i]
 
-    def next(self):
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
-
-    def eat_op(self, text):
-        t = self.peek()
-        if t.kind == "op" and t.text == text:
-            return self.next()
-        self.fail(f"expected {text!r}")
-
-    def try_op(self, text):
-        t = self.peek()
-        if t.kind == "op" and t.text == text:
-            self.next()
-            return True
-        return False
-
-    def at_op(self, text):
-        t = self.peek()
-        return t.kind == "op" and t.text == text
+class _Parser(_TokenParser):
+    """Statements and expressions over ``sfg_ir``'s lexer and base rules."""
 
     def skip_nl(self):
         while self.peek().kind == "nl":
@@ -336,54 +229,9 @@ class _Parser:
         e = self.expr()
         return Definition(t.text, e, (t.line, t.col))
 
-    # -- wire types ---------------------------------------------------------
-
-    def signed_int(self):
-        neg = self.try_op("-")
-        t = self.peek()
-        if t.kind != "int":
-            self.fail("expected an integer")
-        self.next()
-        v = int(t.text)
-        return -v if neg else v
-
     def wiretype(self):
         base = self.base()
-        delay = 0
-        if self.try_op("@"):
-            t = self.peek()
-            if t.kind != "int":
-                self.fail("expected a delay")
-            delay = int(self.next().text)
-        return WireType(base, delay)
-
-    def base(self):
-        t = self.peek()
-        if t.kind == "name" and t.text == "int":
-            self.next()
-            if self.try_op("["):
-                lo = self.signed_int()
-                self.eat_op("..")
-                hi = self.signed_int()
-                self.eat_op("]")
-                if lo > hi:
-                    self.fail(f"empty range {lo}..{hi}", t)
-                return IntRange(lo, hi)
-            return INT
-        if t.kind == "name" and t.text == "bool":
-            self.next()
-            return BOOL
-        if t.kind == "name" and t.text == "unit":
-            self.next()
-            return UnitBase()
-        if self.at_op("{"):
-            self.next()
-            vals = [self.signed_int()]
-            while self.try_op(","):
-                vals.append(self.signed_int())
-            self.eat_op("}")
-            return FinSet(tuple(vals))
-        self.fail("expected a base type")
+        return WireType(base, self.delay() if self.try_op("@") else 0)
 
     # -- expressions --------------------------------------------------------
 

@@ -6,7 +6,8 @@ loop carries values one tick later. Each wire has a base type and a delay:
 the wire is silent before tick ``delay`` and carries base values from then
 on. ``infer_type`` checks a term, ``compile`` turns it into a stream
 process, ``random_term`` generates well-typed terms for the law suites, and
-``pretty``/``read_term`` give a parse-stable text form.
+``pretty``/``read_term`` give a parse-stable text form. Its lexer and its
+value, base and delay rules are the ones ``lang`` parses programs with.
 
 Compilation maps each node onto one ``stream_core`` primitive: wiring
 leaves onto ``identity``/``swap_stream``/``copy_stream``/``discard_stream``,
@@ -634,193 +635,244 @@ def pretty(t: Term) -> str:
     raise TermTypeError(f"not a term: {t!r}")
 
 
-class _TermReader:
-    def __init__(self, text: str):
-        self.text = text
+# ---------------------------------------------------------------------------
+# Lexer and the rules shared by term literals and ``.ms`` programs
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = "+-*(){}[],:;@=|"
+
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # "int" | "name" | "op" | "nl" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(src: str) -> list:
+    """Tokens of ``src``. ``--`` comments run to the end of the line, ``;``
+    is a newline token, and newlines inside brackets make no token."""
+    toks = []
+    line, col = 1, 1
+    depth = 0
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c == "-" and i + 1 < n and src[i + 1] == "-":
+            while i < n and src[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if c == "\n":
+            if depth == 0:
+                toks.append(_Tok("nl", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == ";":
+            toks.append(_Tok("nl", ";", line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            toks.append(_Tok("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(_Tok("name", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c == "." and i + 1 < n and src[i + 1] == ".":
+            toks.append(_Tok("op", "..", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _SYMBOLS:
+            if c in "({[":
+                depth += 1
+            elif c in ")}]":
+                depth = max(0, depth - 1)
+            toks.append(_Tok("op", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(_Tok("eof", "", line, col))
+    return toks
+
+
+class _TokenParser:
+    """Token cursor plus the value, base and delay rules of both text forms."""
+
+    def __init__(self, src: str):
+        self.toks = _tokenize(src)
         self.i = 0
 
-    def error(self, msg):
-        raise ParseError(msg, line=1, col=self.i + 1)
+    def peek(self) -> _Tok:
+        return self.toks[self.i]
 
-    def ws_(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
+    def next(self) -> _Tok:
+        t = self.toks[self.i]
+        if t.kind != "eof":
             self.i += 1
+        return t
 
-    def peek(self):
-        self.ws_()
-        return self.text[self.i] if self.i < len(self.text) else ""
+    def fail(self, msg, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(msg, tok.line, tok.col)
 
-    def eat(self, s):
-        self.ws_()
-        if not self.text.startswith(s, self.i):
-            self.error(f"expected {s!r}")
-        self.i += len(s)
+    def at_op(self, text) -> bool:
+        t = self.peek()
+        return t.kind == "op" and t.text == text
 
-    def try_eat(self, s):
-        self.ws_()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
+    def try_op(self, text) -> bool:
+        if self.at_op(text):
+            self.next()
             return True
         return False
 
-    def name(self):
-        self.ws_()
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            j += 1
-        if j == self.i:
-            self.error("expected a name")
-        out = self.text[self.i:j]
-        self.i = j
-        return out
+    def eat_op(self, text) -> _Tok:
+        if not self.at_op(text):
+            self.fail(f"expected {text!r}")
+        return self.next()
 
-    def int_(self):
-        self.ws_()
-        j = self.i
-        if j < len(self.text) and self.text[j] == "-":
-            j += 1
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.i or self.text[self.i:j] == "-":
-            self.error("expected an integer")
-        out = int(self.text[self.i:j])
-        self.i = j
-        return out
+    def signed_int(self) -> int:
+        neg = self.try_op("-")
+        t = self.peek()
+        if t.kind != "int":
+            self.fail("expected an integer")
+        self.next()
+        return -int(t.text) if neg else int(t.text)
 
     def value(self) -> Value:
-        if self.try_eat("true"):
-            return True
-        if self.try_eat("false"):
-            return False
-        if self.try_eat("()"):
+        t = self.peek()
+        if t.kind == "name" and t.text in ("true", "false"):
+            self.next()
+            return t.text == "true"
+        if self.try_op("("):
+            self.eat_op(")")
             return None
-        return self.int_()
+        return self.signed_int()
+
+    def value_set(self) -> tuple:
+        """The values of ``{v, ...}``, read after its opening brace."""
+        vals = [self.value()]
+        while self.try_op(","):
+            vals.append(self.value())
+        self.eat_op("}")
+        return tuple(vals)
 
     def base(self) -> Base:
-        if self.try_eat("unit"):
-            return UNIT
-        if self.try_eat("bool"):
-            return BOOL
-        if self.try_eat("int["):
-            lo = self.int_()
-            self.eat("..")
-            hi = self.int_()
-            self.eat("]")
+        t = self.next()
+        if t.kind == "name" and t.text == "int":
+            if not self.try_op("["):
+                return INT
+            lo = self.signed_int()
+            self.eat_op("..")
+            hi = self.signed_int()
+            self.eat_op("]")
+            if lo > hi:
+                self.fail(f"empty range {lo}..{hi}", t)
             return IntRange(lo, hi)
-        if self.try_eat("int"):
-            return INT
-        if self.try_eat("{"):
-            vals = [self.value()]
-            while self.try_eat(","):
-                vals.append(self.value())
-            self.eat("}")
-            return FinSet(tuple(vals))
-        self.error("expected a base type")
+        if t.kind == "name" and t.text in ("bool", "unit"):
+            return BOOL if t.text == "bool" else UNIT
+        if t.kind == "op" and t.text == "{":
+            vals = self.value_set()
+            if len(set(vals)) < len(vals):
+                self.fail("set values must be distinct", t)
+            return FinSet(vals)
+        self.fail("expected a base type", t)
+
+    def delay(self) -> int:
+        t = self.peek()
+        if t.kind != "int":
+            self.fail("expected a delay")
+        self.next()
+        return int(t.text)
+
+
+_PAIR_TERMS = {"seq": Seq, "par": Par}
+_WIRE_TERMS = {"fby": FbyBox, "wait": Wait, "reg": Register}
+_WIRES_TERMS = {"id": Id, "copy": Copy, "discard": Discard}
+
+
+class _TermReader(_TokenParser):
+    """The grammar of ``pretty``'s output; newlines count as spaces."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.toks = [t for t in self.toks if t.text != "\n"]
+
+    def closed(self, rule, closer):
+        """What ``rule`` reads, followed by the symbol ``closer``."""
+        out = rule()
+        self.eat_op(closer)
+        return out
+
+    def at_delay(self) -> int:
+        self.eat_op("@")
+        return self.delay()
 
     def wire(self) -> WireType:
-        b = self.base()
-        self.eat("@")
-        return WireType(b, self.int_())
+        return WireType(self.base(), self.at_delay())
 
-    def wire_list(self, closer: str) -> Wires:
+    def wire_list(self) -> Wires:
         out = []
-        if self.peek() not in (closer, "|"):
+        if not (self.at_op("]") or self.at_op("|")):
             out.append(self.wire())
-            while self.try_eat(","):
+            while self.try_op(","):
                 out.append(self.wire())
         return tuple(out)
 
     def term(self) -> Term:
-        self.ws_()
-        for kw, cls in (("seq", Seq), ("par", Par)):
-            if self._kw(kw, "("):
-                self.eat(kw)
-                self.eat("(")
-                a = self.term()
-                self.eat(",")
-                b = self.term()
-                self.eat(")")
-                return cls(a, b)
-        if self._kw("delay", "("):
-            self.eat("delay")
-            self.eat("(")
-            body = self.term()
-            self.eat(")")
-            return DelayTerm(body)
-        if self._kw("fbk", "["):
-            self.eat("fbk")
-            self.eat("[")
-            s = self.wire_list("]")
-            self.eat("]")
-            self.eat("(")
-            body = self.term()
-            self.eat(")")
-            return Fbk(s, body)
-        if self._kw("sym", "["):
-            self.eat("sym")
-            self.eat("[")
-            a = self.wire_list("]")
-            self.eat("|")
-            b = self.wire_list("]")
-            self.eat("]")
-            return Sym(a, b)
-        for kw, mk in (("id", lambda ws: Id(ws)),
-                       ("copy", Copy), ("discard", Discard)):
-            if self._kw(kw, "["):
-                self.eat(kw)
-                self.eat("[")
-                ws = self.wire_list("]")
-                self.eat("]")
-                return mk(ws)
-        for kw, mk in (("fby", FbyBox), ("wait", Wait), ("reg", Register)):
-            if self._kw(kw, "["):
-                self.eat(kw)
-                self.eat("[")
-                w = self.wire()
-                self.eat("]")
-                return mk(w)
-        if self._kw("const", "("):
-            self.eat("const")
-            self.eat("(")
-            v = self.value()
-            self.eat(":")
-            b = self.base()
-            self.eat(")")
-            self.eat("@")
-            return Const(v, b, self.int_())
-        if self._kw("id", None):
-            self.eat("id")
+        t = self.next()
+        if t.kind != "name":
+            self.fail("expected a term", t)
+        kw = t.text
+        if kw in _PAIR_TERMS and self.try_op("("):
+            a = self.closed(self.term, ",")
+            return _PAIR_TERMS[kw](a, self.closed(self.term, ")"))
+        if kw == "delay" and self.try_op("("):
+            return DelayTerm(self.closed(self.term, ")"))
+        if kw == "const" and self.try_op("("):
+            v = self.closed(self.value, ":")
+            return Const(v, self.closed(self.base, ")"), self.at_delay())
+        if kw in _WIRE_TERMS and self.try_op("["):
+            return _WIRE_TERMS[kw](self.closed(self.wire, "]"))
+        if kw in _WIRES_TERMS and self.try_op("["):
+            return _WIRES_TERMS[kw](self.closed(self.wire_list, "]"))
+        if kw == "sym" and self.try_op("["):
+            a = self.closed(self.wire_list, "|")
+            return Sym(a, self.closed(self.wire_list, "]"))
+        if kw == "fbk" and self.try_op("["):
+            s = self.closed(self.wire_list, "]")
+            self.eat_op("(")
+            return Fbk(s, self.closed(self.term, ")"))
+        if kw == "id" and not (self.at_op("{") or self.at_op("@")):
             return Id(())
-        name = self.name()
-        args = ()
-        if self.try_eat("{"):
-            vals = [self.value()]
-            while self.try_eat(","):
-                vals.append(self.value())
-            self.eat("}")
-            args = tuple(vals)
-        self.eat("@")
-        return Gen(name, self.int_(), args)
-
-    def _kw(self, kw: str, opener) -> bool:
-        self.ws_()
-        if not self.text.startswith(kw, self.i):
-            return False
-        j = self.i + len(kw)
-        if j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            return False
-        if opener is None:
-            return j >= len(self.text) or self.text[j] not in "[({@"
-        k = j
-        while k < len(self.text) and self.text[k].isspace():
-            k += 1
-        return k < len(self.text) and self.text[k] == opener
+        args = self.value_set() if self.try_op("{") else ()
+        return Gen(kw, self.at_delay(), args)
 
 
 def read_term(text: str) -> Term:
+    """The term that ``pretty`` prints as ``text``; ``--`` comments and
+    newlines may appear between tokens."""
     r = _TermReader(text)
     t = r.term()
-    r.ws_()
-    if r.i != len(r.text):
-        r.error("trailing input after term")
+    if r.peek().kind != "eof":
+        r.fail("trailing input after term")
     return t

@@ -262,8 +262,7 @@ def _seq_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
         return Dist(out)
 
     return Kernel(kf.in_shape[:la] + kg.in_shape[:lb] + kf.in_shape[la:],
-                  kf.out_shape[:la2] + kg.out_shape, rule,
-                  deterministic=kf.deterministic and kg.deterministic)
+                  kf.out_shape[:la2] + kg.out_shape, rule)
 
 
 def seq_comp(f: Stream, g: Stream) -> Stream:
@@ -295,8 +294,7 @@ def _par_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
     return Kernel(kf.in_shape[:la] + kg.in_shape[:lb]
                   + kf.in_shape[la:] + kg.in_shape[lb:],
                   kf.out_shape[:la2] + kg.out_shape[:lb2]
-                  + kf.out_shape[la2:] + kg.out_shape[lb2:], rule,
-                  deterministic=kf.deterministic and kg.deterministic)
+                  + kf.out_shape[la2:] + kg.out_shape[lb2:], rule)
 
 
 def par_comp(f: Stream, g: Stream) -> Stream:
@@ -513,8 +511,7 @@ def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
     table = {xs: Dist(acc) for xs, acc in obs.truncation().items()}
     in_shape = sum(obs.in_shapes, ())
     out_shape = sum(obs.out_shapes, ())
-    kernel = Kernel(in_shape, out_shape, lambda row: table[row],
-                    deterministic=all(d.is_dirac for d in table.values()))
+    kernel = Kernel(in_shape, out_shape, lambda row: table[row])
     return NStageProcess(n, obs.in_shapes, obs.out_shapes, kernel)
 
 

@@ -252,11 +252,10 @@ def strength(rng):
 def sliding(rng):
     d = rng.randrange(2)
     tb, sb = (rng.choice((BOOL, I3)),), (rng.choice((BOOL, I3)),)
-    h_kernel = random_kernel(tb, sb, rng,
-                             deterministic=rng.random() < 0.5)
+    det = rng.random() < 0.5
+    h_kernel = random_kernel(tb, sb, rng, deterministic=det)
     sig = Signature(gens=list(FIN.gens.values())
-                    + [GenSpec("slid", tb, sb, h_kernel,
-                               stochastic=not h_kernel.deterministic)])
+                    + [GenSpec("slid", tb, sb, h_kernel, stochastic=not det)])
     tw = (WireType(tb[0], d),)
     sw = (WireType(sb[0], d),)
     x, y = rand_wires(rng, 0, 1), rand_wires(rng, 1, 1)

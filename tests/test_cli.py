@@ -85,6 +85,24 @@ def test_run_syntax_error_exits_2(tmp_path, capsys):
     assert "syntax" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "id[int[2..1]@0]", "id"],
+    ["check", "id[{1,1}@0]", "id"],
+    ["check", "id[bool@-2]", "id[bool@0]"],
+    ["run", "{repeated}"],
+])
+def test_malformed_base_or_delay_exits_2(tmp_path, argv):
+    repeated = tmp_path / "repeated.ms"
+    repeated.write_text("input x : {1,1}\nmain = x\n")
+    argv = [str(repeated) if a == "{repeated}" else a for a in argv]
+    p = subprocess.run([sys.executable, "-m", "mstream", *argv],
+                       capture_output=True, text=True)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr.startswith("mstream: syntax error: ")
+    assert "Traceback" not in p.stderr
+
+
 def test_run_missing_file_exits_2(capsys):
     code, _, err = cli(capsys, "run", "no_such_program.ms")
     assert code == 2

@@ -405,7 +405,7 @@ def fresh_units(k):
     """``k`` with every unit mass replaced by a fresh ``Fraction(3, 3)``."""
     def rule(row):
         return Dist({v: F(3, 3) if q == 1 else q for v, q in k.dist(row).pairs()})
-    return Kernel(k.in_shape, k.out_shape, rule, deterministic=k.deterministic)
+    return Kernel(k.in_shape, k.out_shape, rule)
 
 
 def kernel_variants(a, b, rng):

@@ -113,6 +113,9 @@ def test_parse_errors():
         "input x : float\ny = 1\n",
         "",                      # no definitions
         "x = 1 ? 2\n",
+        "input x : {1,1}\nmain = x\n",    # repeated set value
+        "input x : int[2..1]\nmain = x\n",  # empty range
+        "input x : int@-1\nmain = x\n",    # negative delay
     ]
     for src in cases:
         with pytest.raises(ParseError):

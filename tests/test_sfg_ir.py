@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mstream.errors import TermTypeError
+from mstream.errors import ParseError, TermTypeError
 from mstream.kernel import BOOL, INT, Dist, FinSet, IntRange, marginalize
 from mstream.lang import elaborate, parse
 from mstream.sfg_ir import (
@@ -21,6 +21,7 @@ from mstream.sfg_ir import (
     Register,
     Seq,
     Sym,
+    Term,
     Wait,
     WireType,
     alive,
@@ -379,8 +380,9 @@ def test_read_term_handles_wire_syntax():
 
 
 def test_read_term_rejects_garbage():
-    from mstream.errors import ParseError
-    for bad in ("seq(id", "fbk[int@0]", "const(0)@0", "id[int]", "wat@@0"):
+    for bad in ("seq(id", "fbk[int@0]", "const(0)@0", "id[int]", "wat@@0",
+                "id[bool@-1]", "coin@-1", "const(true:bool)@-1",
+                "id[int[2..1]@0]", "id[{1,1}@0]", "2oin@1", "id;"):
         with pytest.raises(ParseError):
             read_term(bad)
 
@@ -388,3 +390,55 @@ def test_read_term_rejects_garbage():
 def test_fib_walk_terms_round_trip():
     for t in (fib_term(), walk_term()):
         assert read_term(pretty(t)) == t
+
+
+def test_read_term_skips_comments_and_newlines():
+    assert read_term("seq(id,  -- the coin\n  coin@0)\n-- done\n") == Seq(
+        Id(()), Gen("coin", 0))
+    assert read_term("id\n") == Id(())
+
+
+def test_read_term_returns_a_term_or_raises_parse_error():
+    rng = random.Random(2024)
+    extra = "-@{}[]()|,:;.0123456789 \nabcxyz_²"
+    corpus = []
+    for s in range(400):
+        text = pretty(random_term(FIN, 9, seed=map_seed(s)))
+        for _ in range(6):
+            i = rng.randrange(len(text) + 1)
+            c = rng.choice(text + extra)
+            edit = rng.randrange(3)
+            if edit == 0:
+                corpus.append(text[:i] + c + text[i:])
+            elif edit == 1:
+                corpus.append(text[:i] + text[i + 1:])
+            else:
+                corpus.append(text[:i] + c + text[i + 1:])
+    assert len(corpus) >= 2000
+    parsed = 0
+    for text in corpus:
+        try:
+            t = read_term(text)
+        except ParseError:
+            continue
+        assert isinstance(t, Term), text
+        parsed += 1
+    assert 0 < parsed < len(corpus)
+
+
+def test_programs_and_term_literals_read_bases_alike():
+    def program_base(b):
+        return parse(f"input x : {b}\nmain = x\n").inputs[0].wire.base
+
+    def term_base(b):
+        return read_term(f"id[{b}@0]").ws[0].base
+
+    for b in ("int", "bool", "unit", "int[0..2]", "int[-3..-1]",
+              "int [ 5 .. 5 ]", "{-1,1}", "{2, 0, 1}", "{ - 4 }",
+              "{true,false}", "{()}", "{1,(),false}"):
+        assert program_base(b) == term_base(b), b
+    for b in ("int[2..1]", "{1,1}", "{1,true}", "{}", "int[0..]", "{0,}",
+              "float", "{x}"):
+        for read in (program_base, term_base):
+            with pytest.raises(ParseError):
+                read(b)

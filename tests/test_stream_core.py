@@ -543,7 +543,7 @@ def fresh_unit_stream(s):
         def rule(row):
             return Dist({v: F(3, 3) if q == 1 else q
                          for v, q in k.dist(row).pairs()})
-        return Kernel(k.in_shape, k.out_shape, rule, deterministic=k.deterministic)
+        return Kernel(k.in_shape, k.out_shape, rule)
     return Stream(s.x, s.out_seq, s.mem, tuple(map(refresh, s.ks)), refresh(s.tail))
 
 
