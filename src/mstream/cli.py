@@ -336,6 +336,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    # values are unbounded integers: read and print them at any length
+    sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         if args.cmd == "check":

@@ -43,6 +43,7 @@ class TermTypeError(MStreamError):
     def __init__(self, message, path=()):
         loc = "/".join(str(p) for p in path) if path else "root"
         super().__init__(f"{message} (at {loc})")
+        self.message = message
         self.path = tuple(path)
 
 

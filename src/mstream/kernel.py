@@ -2,9 +2,10 @@
 
 A kernel is a total map from input rows (tuples of values, one per wire) to
 exact distributions over output rows. Deterministic maps are the kernels all
-of whose outputs are Dirac. Probabilities are ``fractions.Fraction``
-throughout; composition, marginals, conditionals and ranges are exact, so
-tests compare tables with ``==`` and no tolerances.
+of whose outputs are Dirac. Composite kernels are evaluated as one flat
+program of their leaves (see :class:`Kernel`). Probabilities are
+``fractions.Fraction`` throughout; composition, marginals, conditionals and
+ranges are exact, so tests compare tables with ``==`` and no tolerances.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
 from .errors import BadIndex, EmptySupport, NotEnumerable, ShapeMismatch
 from .values import Row, Value, is_value, value_key, value_str
@@ -171,7 +173,9 @@ class Dist:
     Entries with zero mass are pruned at construction and the total mass must
     be exactly 1. Masses already of type ``Fraction`` are kept, not copied;
     any other mass is converted with ``Fraction(q)``. Instances are immutable
-    and compare by table equality.
+    and compare by table equality. A composite kernel builds one ``Dist`` per
+    input row, from the table its flat program accumulates; the kernels
+    nested in it build none.
     """
 
     __slots__ = ("_p",)
@@ -292,29 +296,60 @@ def sample(d: Dist, u) -> Value:
 # Kernels
 # ---------------------------------------------------------------------------
 
+#: A kernel clears its row cache when it holds this many rows, so long runs
+#: over rows that never recur (a counter, fib) keep bounded memory, while
+#: programs whose states recur (bounded memory, enumerated inputs) still
+#: find every row they revisit.
+CACHE_ROWS = 4096
+
+
 class Kernel:
     """A one-tick stochastic map between wire bundles.
 
-    ``rule`` sends each input row to a :class:`Dist` over output rows; it is
-    cached per row, so repeated observation of the same state is cheap.
+    A kernel is given by a ``rule`` sending each input row to a :class:`Dist`
+    over output rows, or by a lowering hook ``lower(prog, ins)`` that appends
+    the kernel to a :class:`_Program` reading the input slots ``ins`` and
+    returns its output slots. Wiring kernels (identity, copy, discard, swap,
+    rewire) lower to a slot map with no op, :func:`det_kernel` to one pure op
+    and composites to the concatenation of their parts' lowerings; a kernel
+    with only a rule lowers to one stochastic op that calls its ``dist``.
+    One of ``rule`` and ``lower`` must be given.
+
+    On its first ``dist`` a kernel without a rule lowers itself once into one
+    flat program (:func:`_flatten`), so only the kernel that is evaluated,
+    not the kernels nested in it, holds a rule and a cache. The cache is per
+    input row and is cleared when it reaches ``CACHE_ROWS`` rows.
     """
 
-    __slots__ = ("in_shape", "out_shape", "_rule", "_cache")
+    __slots__ = ("in_shape", "out_shape", "_rule", "_lower", "_cache")
 
     def __init__(self, in_shape: Shape, out_shape: Shape,
-                 rule: Callable[[Row], Dist]):
+                 rule: Optional[Callable[[Row], Dist]] = None,
+                 lower: Optional[Callable] = None):
         self.in_shape = tuple(in_shape)
         self.out_shape = tuple(out_shape)
         self._rule = rule
+        self._lower = lower
         self._cache = {}
 
     def dist(self, row: Row) -> Dist:
         """The output distribution on input ``row`` (cached)."""
         d = self._cache.get(row)
         if d is None:
+            if self._rule is None:
+                self._rule = _flatten(self)
             d = self._rule(row)
+            if len(self._cache) >= CACHE_ROWS:
+                self._cache.clear()
             self._cache[row] = d
         return d
+
+    def lower(self, prog: "_Program", ins: tuple) -> tuple:
+        """Append this kernel to ``prog``, reading slots ``ins``; returns the
+        slots of its output row."""
+        if self._lower is None:
+            return prog.emit(self.dist, ins, len(self.out_shape), False)
+        return self._lower(prog, ins)
 
     def table(self) -> dict:
         """Materialize the full table; requires an enumerable input shape."""
@@ -324,9 +359,96 @@ class Kernel:
         return f"Kernel({self.in_shape!r} -> {self.out_shape!r})"
 
 
+class _Program:
+    """A straight-line program over a slot file.
+
+    Slots ``0 .. n_in - 1`` hold the input row, and every op writes a fresh
+    block of slots ``lo .. hi - 1``, so each slot is written by one op only.
+    An op is ``(fn, ins, lo, hi, det)``: a pure op (``det``) stores the row
+    ``fn(row of ins)``; a stochastic op gets the :class:`Dist`
+    ``fn(row of ins)`` and branches over its rows.
+    """
+
+    __slots__ = ("ops", "n")
+
+    def __init__(self, n_in: int):
+        self.ops = []
+        self.n = n_in
+
+    def emit(self, fn, ins, width: int, det: bool) -> tuple:
+        lo = self.n
+        self.n = hi = lo + width
+        self.ops.append((fn, ins, lo, hi, det))
+        return tuple(range(lo, hi))
+
+
+def _getter(idx):
+    """The function ``slots -> tuple(slots[i] for i in idx)``."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda s: (s[i],)
+    return itemgetter(*idx) if idx else lambda s: ()
+
+
+def _flatten(k: Kernel) -> Callable[[Row], Dist]:
+    """Lower ``k`` to one program and return its rule.
+
+    A backward liveness pass drops every op whose outputs nothing reads;
+    this is exact because every row of a leaf sums to 1. The rule runs the
+    ops in order on one slot list. Pure ops and ops with one outcome run
+    inline; at an op with several outcomes the rest of the program runs once
+    per outcome, depth first, carrying the branch mass (a mass that ``is
+    ONE`` multiplies nothing). Each leaf of the enumeration adds its mass to
+    one table, which becomes the row's one :class:`Dist`.
+    """
+    n_in = len(k.in_shape)
+    prog = _Program(n_in)
+    outs = k.lower(prog, tuple(range(n_in)))
+    live = set(outs)
+    ops = []
+    for fn, ins, lo, hi, det in reversed(prog.ops):
+        if not live.isdisjoint(range(lo, hi)):
+            live.update(ins)
+            ops.append((fn, _getter(ins), lo, hi, det))
+    ops.reverse()
+    end = len(ops)
+    pad = [None] * (prog.n - n_in)
+    key = _getter(outs)
+
+    def walk(slots, i, m, acc):
+        while i < end:
+            fn, get, lo, hi, det = ops[i]
+            i += 1
+            if det:
+                slots[lo:hi] = fn(get(slots))
+                continue
+            d = fn(get(slots))._p
+            if len(d) > 1:
+                for v, q in d.items():
+                    slots[lo:hi] = v
+                    walk(slots, i, q if m is ONE else m * q, acc)
+                return
+            (v, q), = d.items()
+            slots[lo:hi] = v
+            if q is not ONE:
+                m = q if m is ONE else m * q
+        y = key(slots)
+        r = acc.get(y)
+        acc[y] = m if r is None else r + m
+
+    def rule(row):
+        acc = {}
+        walk(list(row) + pad, 0, ONE, acc)
+        return Dist(acc)
+
+    return rule
+
+
 def det_kernel(in_shape, out_shape, fn: Callable[[Row], Row]) -> Kernel:
-    """Kernel of a function on rows (all outputs Dirac)."""
-    return Kernel(in_shape, out_shape, lambda row: dirac(fn(row)))
+    """Kernel of a function on rows (all outputs Dirac); one pure op."""
+    n = len(out_shape)
+    return Kernel(in_shape, out_shape, None,
+                  lambda prog, ins: prog.emit(fn, ins, n, True))
 
 
 def const_dist_kernel(out_shape, d: Dist) -> Kernel:
@@ -347,8 +469,20 @@ def const_source(v: Value, base: Base) -> Kernel:
     return dist_source(dirac(v), base)
 
 
+def _same(prog, ins):
+    return ins
+
+
+def _none(prog, ins):
+    return ()
+
+
+def _twice(prog, ins):
+    return ins + ins
+
+
 def identity_kernel(shape) -> Kernel:
-    return det_kernel(shape, shape, lambda row: row)
+    return Kernel(shape, shape, None, _same)
 
 
 def rewire(in_shape, indices) -> Kernel:
@@ -361,54 +495,38 @@ def rewire(in_shape, indices) -> Kernel:
         if i < 0 or i >= len(in_shape):
             raise BadIndex(f"rewire index {i} out of range")
     out_shape = tuple(in_shape[i] for i in indices)
-    return det_kernel(in_shape, out_shape, lambda row: tuple(row[i] for i in indices))
+    return Kernel(in_shape, out_shape, None,
+                  lambda prog, ins: tuple([ins[i] for i in indices]))
 
 
 def copy(shape) -> Kernel:
-    n = len(shape)
-    return rewire(shape, tuple(range(n)) + tuple(range(n)))
+    return Kernel(shape, tuple(shape) + tuple(shape), None, _twice)
 
 
 def discard(shape) -> Kernel:
-    return det_kernel(shape, unit_shape, lambda row: ())
+    return Kernel(shape, unit_shape, None, _none)
 
 
 def swap(a, b) -> Kernel:
     la = len(a)
-    return rewire(tuple(a) + tuple(b), tuple(range(la, la + len(b))) + tuple(range(la)))
+    return Kernel(tuple(a) + tuple(b), tuple(b) + tuple(a), None,
+                  lambda prog, ins: ins[la:] + ins[:la])
 
 
 def kernel_compose(f: Kernel, g: Kernel) -> Kernel:
     """Sequential composition: route each output of ``f`` through ``g``."""
     if f.out_shape != g.in_shape:
         raise ShapeMismatch(f"compose: {f.out_shape!r} vs {g.in_shape!r}")
-
-    def rule(row):
-        out = {}
-        for y, p in f.dist(row)._p.items():
-            for z, q in g.dist(y)._p.items():
-                pq = q if p is ONE else p if q is ONE else p * q
-                r = out.get(z)
-                out[z] = pq if r is None else r + pq
-        return Dist(out)
-
-    return Kernel(f.in_shape, g.out_shape, rule)
+    return Kernel(f.in_shape, g.out_shape, None,
+                  lambda prog, ins: g.lower(prog, f.lower(prog, ins)))
 
 
 def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition on disjoint wires; product of distributions."""
     nf = len(f.in_shape)
-
-    def rule(row):
-        df = f.dist(row[:nf])
-        dg = g.dist(row[nf:])
-        out = {}
-        for y, p in df._p.items():
-            for y2, q in dg._p.items():
-                out[y + y2] = q if p is ONE else p if q is ONE else p * q
-        return Dist(out)
-
-    return Kernel(f.in_shape + g.in_shape, f.out_shape + g.out_shape, rule)
+    return Kernel(f.in_shape + g.in_shape, f.out_shape + g.out_shape, None,
+                  lambda prog, ins: (f.lower(prog, ins[:nf])
+                                     + g.lower(prog, ins[nf:])))
 
 
 def kernel_eq(f: Kernel, g: Kernel) -> bool:
@@ -482,16 +600,11 @@ def triangle(f: Kernel, g: Kernel) -> Kernel:
         raise ShapeMismatch(
             f"triangle: {g.in_shape!r} vs {f.out_shape!r} + {f.in_shape!r}")
 
-    def rule(a):
-        out = {}
-        for x, p in f.dist(a)._p.items():
-            for y, q in g.dist(x + a)._p.items():
-                pq = q if p is ONE else p if q is ONE else p * q
-                r = out.get(x + y)
-                out[x + y] = pq if r is None else r + pq
-        return Dist(out)
+    def lower(prog, ins):
+        x = f.lower(prog, ins)
+        return x + g.lower(prog, x + ins)
 
-    return Kernel(f.in_shape, f.out_shape + g.out_shape, rule)
+    return Kernel(f.in_shape, f.out_shape + g.out_shape, None, lower)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def infer_type(t: Term, sig: Signature, _path: tuple = ()) -> Tuple[Wires, Wires
         try:
             spec = sig.lookup(t.name, t.args)
         except TermTypeError as e:
-            fail(str(e.args[0] if e.args else e))
+            fail(e.message)
         d = t.delay
         return (tuple(WireType(b, d) for b in spec.in_bases),
                 tuple(WireType(b, d) for b in spec.out_bases))

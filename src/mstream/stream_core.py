@@ -11,6 +11,18 @@ one kernel and that kernel's cache. Composition builds each tick's kernel
 from the two components' kernels at that tick; feedback leaves the kernels
 alone and moves the fed-back wires into memory.
 
+A composite tick kernel is not evaluated as the tree it was composed as. On
+its first ``dist`` it lowers itself, once, to one flat program of leaf ops
+over a slot file (``kernel._flatten``): copies, discards, swaps and the
+buffer tails resolve to slot maps and emit no op, deterministic generators
+become pure ops, and every other leaf becomes one op that branches over the
+rows of its own ``dist``. A liveness pass drops the ops whose outputs
+nothing reads. Each input row is then evaluated by depth-first enumeration
+over the ops with more than one outcome, carrying the branch mass, and
+builds one :class:`Dist`, so a deterministic tick builds exactly one. Only
+the evaluated kernel holds a cache, and that cache is cleared when it
+reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
+
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
 the trailing memory discarded.
@@ -249,20 +261,12 @@ def _tick_kernels(f: Stream, g: Stream, build) -> tuple:
 
 def _seq_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
     # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through kf's output y
-    def rule(row):
-        ra, rb, rx = row[:la], row[la:la + lb], row[la + lb:]
-        out = {}
-        for ry, p in kf.dist(ra + rx).pairs():
-            m1, y = ry[:la2], ry[la2:]
-            for rz, q in kg.dist(rb + y).pairs():
-                key = m1 + rz
-                pq = q if p is ONE else p if q is ONE else p * q
-                r = out.get(key)
-                out[key] = pq if r is None else r + pq
-        return Dist(out)
+    def lower(prog, ins):
+        ry = kf.lower(prog, ins[:la] + ins[la + lb:])
+        return ry[:la2] + kg.lower(prog, ins[la:la + lb] + ry[la2:])
 
     return Kernel(kf.in_shape[:la] + kg.in_shape[:lb] + kf.in_shape[la:],
-                  kf.out_shape[:la2] + kg.out_shape, rule)
+                  kf.out_shape[:la2] + kg.out_shape, None, lower)
 
 
 def seq_comp(f: Stream, g: Stream) -> Stream:
@@ -278,23 +282,15 @@ def _par_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
     # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
     lx = len(kf.in_shape) - la
 
-    def rule(row):
-        ra, rb = row[:la], row[la:la + lb]
-        rx, rx2 = row[la + lb:la + lb + lx], row[la + lb + lx:]
-        out = {}
-        for r1, p in kf.dist(ra + rx).pairs():
-            m1, y1 = r1[:la2], r1[la2:]
-            for r2, q in kg.dist(rb + rx2).pairs():
-                key = m1 + r2[:lb2] + y1 + r2[lb2:]
-                pq = q if p is ONE else p if q is ONE else p * q
-                r = out.get(key)
-                out[key] = pq if r is None else r + pq
-        return Dist(out)
+    def lower(prog, ins):
+        r1 = kf.lower(prog, ins[:la] + ins[la + lb:la + lb + lx])
+        r2 = kg.lower(prog, ins[la:la + lb] + ins[la + lb + lx:])
+        return r1[:la2] + r2[:lb2] + r1[la2:] + r2[lb2:]
 
     return Kernel(kf.in_shape[:la] + kg.in_shape[:lb]
                   + kf.in_shape[la:] + kg.in_shape[lb:],
                   kf.out_shape[:la2] + kg.out_shape[:lb2]
-                  + kf.out_shape[la2:] + kg.out_shape[lb2:], rule)
+                  + kf.out_shape[la2:] + kg.out_shape[lb2:], None, lower)
 
 
 def par_comp(f: Stream, g: Stream) -> Stream:

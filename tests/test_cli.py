@@ -388,3 +388,43 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["run"])  # missing source
     assert e.value.code == 2
+
+
+def mstream_proc(*argv):
+    return subprocess.run([sys.executable, "-m", "mstream", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_run_prints_integers_of_any_length(tmp_path, fmt):
+    src = tmp_path / "powers.ms"
+    src.write_text("x = 1 fby (x * 1000)\n")
+    p = mstream_proc("run", str(src), "--steps", "1450", "--format", fmt)
+    assert p.returncode == 0, p.stderr
+    last = p.stdout.splitlines()[-1]
+    if fmt == "json":
+        value = json.loads(last, parse_int=str)["out"][0]
+    else:
+        value = last.split("," if fmt == "csv" else ": ")[-1]
+    assert value == "1" + "0" * 4350
+
+
+def test_long_integer_literals_are_read(tmp_path):
+    big = "9" * 5000
+    src = tmp_path / "big.ms"
+    src.write_text(f"main = {big}\n")
+    p = mstream_proc("run", str(src), "--steps", "0", "--format", "csv")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == f"0,{big}\n"
+    p = mstream_proc("check", f"unif{{{big}}}@0", f"unif{{{big}}}@0")
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["equal"] is True
+
+
+def test_type_error_names_its_location_once():
+    p = mstream_proc("check", "foo@0", "id[bool@0]")
+    assert p.returncode == 3
+    assert p.stderr == "mstream: unknown generator 'foo' (at root)\n"
+    p = mstream_proc("check", "seq(id[bool@0], foo@0)", "id[bool@0]")
+    assert p.returncode == 3
+    assert p.stderr == "mstream: unknown generator 'foo' (at seq/1)\n"

@@ -1,5 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +11,11 @@ from mstream.errors import (
     ShapeMismatch,
     StateCapExceeded,
 )
+from mstream import sfg_ir
 from mstream.kernel import (
     BOOL,
     INT,
+    ONE,
     Dist,
     IntRange,
     Kernel,
@@ -51,7 +56,10 @@ from mstream import (
     Id,
     WireType,
     compile_term,
+    default_signature,
+    elaborate,
     finite_signature,
+    parse,
     seq_term,
 )
 from mstream.sfg_ir import random_term_of_type
@@ -440,7 +448,7 @@ def random_pair_of_terms(seed):
     rng = random.Random(seed)
     iw, ow = random_wires(rng, 0, 2), random_wires(rng, 1, 2)
     return (ow, random_term_of_type(rng, FIN, iw, ow, 6),
-            random_term_of_type(rng, FIN, iw, ow, 6))
+            random_term_of_type(rng, FIN, iw, ow, 12))
 
 
 def hidden_draw_stream(d):
@@ -600,3 +608,105 @@ def test_tick_kernel_products_match_fraction_reference():
                     assert all(type(q) is Fraction for q in got.values())
                 compared += 1
     assert compared >= 150
+
+
+def nested_comp(comp, rule):
+    """``comp`` with every tick kernel evaluated by the nested product
+    ``rule`` over its two components' tick kernels."""
+    def composite(f, g):
+        s = comp(f, g)
+
+        def tick(t):
+            kf, kg = f.kernel(t), g.kernel(t)
+            widths = (len(f.mem.at(t)), len(g.mem.at(t)),
+                      len(f.mem.at(t + 1)), len(g.mem.at(t + 1)))
+            k = s.kernel(t)
+            return Kernel(k.in_shape, k.out_shape,
+                          lambda row: Dist(rule(kf, kg, *widths, row)))
+
+        n = len(s.ks)
+        return Stream(s.x, s.out_seq, s.mem, [tick(t) for t in range(n)],
+                      tick(n))
+    return composite
+
+
+def test_flat_tick_kernels_match_nested_reference(monkeypatch):
+    rows_cap = 400
+    terms = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        iw, ow = random_wires(rng, 0, 2), random_wires(rng, 1, 2)
+        terms.append(random_term_of_type(rng, FIN, iw, ow, 12))
+    flat = [compile_term(t, FIN) for t in terms]
+    monkeypatch.setattr(sfg_ir, "seq_comp", nested_comp(seq_comp, ref_seq_rule))
+    monkeypatch.setattr(sfg_ir, "par_comp", nested_comp(par_comp, ref_par_rule))
+    nested = [compile_term(t, FIN) for t in terms]
+    compared = 0
+    for seed, (f, ref) in enumerate(zip(flat, nested)):
+        for t in range(len(f.ks) + 2):
+            k, kr = f.kernel(t), ref.kernel(t)
+            rows = list(enumerate_rows(k.in_shape))
+            if len(rows) > rows_cap:
+                continue
+            for row in rows:
+                got = k.dist(row)
+                assert got == kr.dist(row), f"seed {seed}, tick {t}, row {row}"
+                assert all(type(q) is Fraction for _, q in got.pairs())
+            compared += 1
+    assert compared >= 1000
+
+
+def test_deterministic_tick_builds_one_dist(monkeypatch):
+    fib = (Path(__file__).resolve().parent.parent / "programs" / "fib.ms")
+    sig = default_signature()
+    built = []
+    init = Dist.__init__
+
+    def counting(self, mapping):
+        built.append(None)
+        init(self, mapping)
+
+    monkeypatch.setattr(Dist, "__init__", counting)
+    counts = []
+    for n in (10, 60):
+        f = compile_term(elaborate(parse(fib.read_text())), sig)
+        del built[:]
+        run_det(f, n=n)
+        counts.append(len(built))
+    assert counts[1] - counts[0] <= 50, counts
+
+
+def test_dead_stochastic_ops_are_dropped():
+    def never(row):
+        raise AssertionError("an op whose outputs nothing reads was run")
+
+    drop = discard_stream(ShapeSeq.constant((I01,)))
+    for coin in (lift_const(Kernel((), (I01,), never)), coin_stream()):
+        s = reduce(par_comp, [seq_comp(coin, drop)] * 20)
+        d = s.kernel(0).dist(())
+        assert d == Dist({(): 1})
+        ((_, q),) = d.pairs()
+        assert q is ONE
+
+
+def test_long_run_heap_stays_bounded():
+    """10^5 ticks of a counter, keeping only the current row: the heap stays
+    within 2 MB of its size at tick 10^3."""
+    counters = (Path(__file__).resolve().parent.parent / "programs"
+                / "counters.ms")
+    cur = compile_term(elaborate(parse(counters.read_text())),
+                       default_signature())
+    m_row = ()
+    tracemalloc.start()
+    try:
+        for t in range(1, 10 ** 5 + 1):
+            mem, now, cur = cur.unroll()
+            m_row = now.dist(m_row).the_value()[:len(mem)]
+            if t % 1000 == 0:
+                heap = tracemalloc.get_traced_memory()[0]
+                if t == 1000:
+                    base = heap
+                assert heap - base < 2 * 2 ** 20, \
+                    f"tick {t}: heap grew by {(heap - base) / 2 ** 20:.1f} MB"
+    finally:
+        tracemalloc.stop()
