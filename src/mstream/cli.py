@@ -336,8 +336,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # values are unbounded integers: read and print them at any length
+    # values are unbounded integers: lift Python's limit on the digits of an
+    # int/str conversion (3.10.7 and later) while the command runs
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cmd == "check":

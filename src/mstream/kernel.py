@@ -393,53 +393,78 @@ def _getter(idx):
 def _flatten(k: Kernel) -> Callable[[Row], Dist]:
     """Lower ``k`` to one program and return its rule.
 
-    A backward liveness pass drops every op whose outputs nothing reads;
-    this is exact because every row of a leaf sums to 1. The rule runs the
-    ops in order on one slot list. Pure ops and ops with one outcome run
-    inline; at an op with several outcomes the rest of the program runs once
-    per outcome, depth first, carrying the branch mass (a mass that ``is
-    ONE`` multiplies nothing). Each leaf of the enumeration adds its mass to
-    one table, which becomes the row's one :class:`Dist`.
+    A backward liveness pass drops every op whose outputs nothing reads
+    (exact, because every row of a leaf sums to 1) and finds the slots each
+    later op still reads. The kept ops are cut after each stochastic op into
+    segments. The rule carries a table from rows of live slots to masses
+    through the segments: each entry runs the segment's pure ops on its own
+    short slot list, branches over the rows of the stochastic op, and each
+    branch is projected onto the slots still read after it, so branches that
+    agree there merge into one entry (a mass that ``is ONE`` multiplies
+    nothing). Pure ops never add entries, so the table before each stochastic
+    op is as small as merging after every op would make it, and the last
+    projection, onto the output slots, is the row's one :class:`Dist`.
     """
     n_in = len(k.in_shape)
     prog = _Program(n_in)
     outs = k.lower(prog, tuple(range(n_in)))
     live = set(outs)
-    ops = []
+    kept = []
     for fn, ins, lo, hi, det in reversed(prog.ops):
         if not live.isdisjoint(range(lo, hi)):
+            after = tuple(sorted(live)) if not det else None
+            live.difference_update(range(lo, hi))
             live.update(ins)
-            ops.append((fn, _getter(ins), lo, hi, det))
-    ops.reverse()
-    end = len(ops)
-    pad = [None] * (prog.n - n_in)
-    key = _getter(outs)
+            kept.append((fn, ins, lo, hi, after))
+    kept.reverse()
+    # each segment numbers its slots afresh: the entry's live slots, then
+    # the outputs of its ops in order
+    layout = tuple(sorted(live))
+    first = _getter(layout)
+    slot = {g: j for j, g in enumerate(layout)}
 
-    def walk(slots, i, m, acc):
-        while i < end:
-            fn, get, lo, hi, det = ops[i]
-            i += 1
-            if det:
-                slots[lo:hi] = fn(get(slots))
-                continue
-            d = fn(get(slots))._p
-            if len(d) > 1:
-                for v, q in d.items():
-                    slots[lo:hi] = v
-                    walk(slots, i, q if m is ONE else m * q, acc)
-                return
-            (v, q), = d.items()
-            slots[lo:hi] = v
-            if q is not ONE:
-                m = q if m is ONE else m * q
-        y = key(slots)
-        r = acc.get(y)
-        acc[y] = m if r is None else r + m
+    def local(slots):
+        return _getter(tuple([slot[g] for g in slots]))
+
+    segments = []
+    pure = []
+    for i, (fn, ins, lo, hi, after) in enumerate(kept):
+        get = local(ins)
+        base = len(slot) - lo
+        slot.update((g, base + g) for g in range(lo, hi))
+        if after is None:
+            pure.append((fn, get))
+            continue
+        after = outs if i == len(kept) - 1 else after
+        segments.append((pure, (fn, get), local(after)))
+        pure, slot = [], {g: j for j, g in enumerate(after)}
+    if pure or not segments:
+        segments.append((pure, None, local(outs)))
 
     def rule(row):
-        acc = {}
-        walk(list(row) + pad, 0, ONE, acc)
-        return Dist(acc)
+        table = {first(row): ONE}
+        for pure, op, proj in segments:
+            new = {}
+            for key, m in table.items():
+                s = list(key)
+                for fn, get in pure:
+                    s += fn(get(s))
+                if op is None:
+                    y = proj(s)
+                    r = new.get(y)
+                    new[y] = m if r is None else r + m
+                    continue
+                fn, get = op
+                n = len(s)
+                for v, q in fn(get(s))._p.items():
+                    s[n:] = v
+                    y = proj(s)
+                    if m is not ONE:
+                        q = m if q is ONE else m * q
+                    r = new.get(y)
+                    new[y] = q if r is None else r + q
+            table = new
+        return Dist(table)
 
     return rule
 
@@ -465,8 +490,10 @@ def dist_source(d: Dist, base: Base) -> Kernel:
 
 
 def const_source(v: Value, base: Base) -> Kernel:
-    """A one-wire constant source."""
-    return dist_source(dirac(v), base)
+    """A one-wire constant source; one pure op."""
+    if not base.contains(v):
+        raise ShapeMismatch(f"{v!r} is not a {base!r} value")
+    return det_kernel(unit_shape, (base,), lambda row: (v,))
 
 
 def _same(prog, ins):

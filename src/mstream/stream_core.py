@@ -17,9 +17,11 @@ over a slot file (``kernel._flatten``): copies, discards, swaps and the
 buffer tails resolve to slot maps and emit no op, deterministic generators
 become pure ops, and every other leaf becomes one op that branches over the
 rows of its own ``dist``. A liveness pass drops the ops whose outputs
-nothing reads. Each input row is then evaluated by depth-first enumeration
-over the ops with more than one outcome, carrying the branch mass, and
-builds one :class:`Dist`, so a deterministic tick builds exactly one. Only
+nothing reads. Each input row is then evaluated forward over a table from
+the values of the slots still read to their masses: each stochastic op
+expands every entry by its rows, and entries that agree on the slots read
+later merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths.
+Each row builds one :class:`Dist`, so a deterministic tick builds one. Only
 the evaluated kernel holds a cache, and that cache is cleared when it
 reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
 

@@ -428,3 +428,16 @@ def test_type_error_names_its_location_once():
     p = mstream_proc("check", "seq(id[bool@0], foo@0)", "id[bool@0]")
     assert p.returncode == 3
     assert p.stderr == "mstream: unknown generator 'foo' (at seq/1)\n"
+
+
+def test_main_lifts_the_digit_limit_only_while_it_runs(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    big = "9" * 5000
+    src = tmp_path / "big.ms"
+    src.write_text(f"main = {big}\n")
+    code, out, err = cli(capsys, "run", str(src), "--steps", "0",
+                         "--format", "csv")
+    assert code == 0, err
+    assert out == f"0,{big}\n"
+    assert limit() == before

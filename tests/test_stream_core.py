@@ -1,7 +1,9 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -448,7 +450,7 @@ def random_pair_of_terms(seed):
     rng = random.Random(seed)
     iw, ow = random_wires(rng, 0, 2), random_wires(rng, 1, 2)
     return (ow, random_term_of_type(rng, FIN, iw, ow, 6),
-            random_term_of_type(rng, FIN, iw, ow, 12))
+            random_term_of_type(rng, FIN, iw, ow, 6))
 
 
 def hidden_draw_stream(d):
@@ -687,6 +689,29 @@ def test_dead_stochastic_ops_are_dropped():
         assert d == Dist({(): 1})
         ((_, q),) = d.pairs()
         assert q is ONE
+
+
+def test_many_draws_in_one_tick_merge(monkeypatch):
+    """A tick that sums 20 draws of unif(0, 1) keeps one table entry per
+    partial sum: about n^2 leaf calls, not the 2^20 paths of an enumeration
+    that never merges."""
+    n = 20
+    src = "main = " + " + ".join(["unif(0, 1)"] * n) + "\n"
+    f = compile_term(elaborate(parse(src)), default_signature())
+    calls = []
+    dist = Kernel.dist
+
+    def counting(self, row):
+        calls.append(None)
+        assert len(calls) <= 5000, "more than 5000 kernel.dist calls"
+        return dist(self, row)
+
+    monkeypatch.setattr(Kernel, "dist", counting)
+    start = time.perf_counter()
+    d = f.kernel(0).dist(())
+    assert time.perf_counter() - start < 1.0
+    assert d == Dist({(s,): Fraction(comb(n, s), 2 ** n)
+                      for s in range(n + 1)})
 
 
 def test_long_run_heap_stays_bounded():
