@@ -38,13 +38,20 @@ class NondeterministicStream(MStreamError):
 
 
 class TermTypeError(MStreamError):
-    """An IR term does not typecheck; ``path`` locates the offending node."""
+    """A term or program does not typecheck.
 
-    def __init__(self, message, path=()):
-        loc = "/".join(str(p) for p in path) if path else "root"
-        super().__init__(f"{message} (at {loc})")
+    ``path`` locates the offending IR node (``()`` is the root); errors in a
+    program's source name their definition instead and carry no path.
+    """
+
+    def __init__(self, message, path=None):
+        if path is None:
+            super().__init__(message)
+        else:
+            loc = "/".join(str(p) for p in path) if path else "root"
+            super().__init__(f"{message} (at {loc})")
         self.message = message
-        self.path = tuple(path)
+        self.path = tuple(path or ())
 
 
 class ParseError(MStreamError):

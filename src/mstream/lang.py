@@ -4,15 +4,16 @@ A program is a list of stream equations (plus optional declared inputs) over
 integers, with ``a fby b`` ("followed by"), ``wait(e)`` (one-tick delay with a
 silent first tick) and ``unif(...)`` (uniform choice from a finite set of
 integers).  ``parse`` builds the AST, ``check_causality`` verifies that every
-dependency cycle passes through a delay, and ``elaborate`` compiles the
-program to a single feedback term over the default generator signature (see
-``sfg_ir``): each strongly connected component of definitions becomes one
-``Fbk`` whose fed-back wires cancel one syntactic delay per recursive use.
+dependency cycle passes through a delay and that widths and bases agree, and
+``elaborate`` compiles the program to a single term over the default
+generator signature (see ``sfg_ir``).  Each expression becomes its own term
+over the names it uses, and each definition is one step that routes the
+environment once; each strongly connected component of definitions becomes
+one ``Fbk`` whose fed-back wires cancel one syntactic delay per recursive use.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -27,7 +28,6 @@ from .sfg_ir import (
     Gen,
     Id,
     Register,
-    Sym,
     Term,
     Wait,
     WireType,
@@ -35,6 +35,7 @@ from .sfg_ir import (
     par,
     perm_term,
     seq,
+    shift_wires,
 )
 
 Pos = tuple  # (line, column)
@@ -278,7 +279,7 @@ class _Parser(_TokenParser):
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return IntLit(int(t.text), (t.line, t.col))
+            return IntLit(self.int_value(t), (t.line, t.col))
         if t.kind == "op" and t.text == "(":
             self.next()
             items = [self.expr()]
@@ -505,36 +506,51 @@ def _zero_delay_order(members, zero_edges, occs):
     return tuple(order)
 
 
-def _expr_width(e, widths, defn):
+def _expr_bases(e, bases, defn):
+    """The base of each wire of ``e``; operands of ``+ - *`` and unary minus
+    must be single int streams, and both sides of ``fby`` must agree."""
     if isinstance(e, (IntLit, UnifCall)):
-        return 1
+        return (INT,)
     if isinstance(e, Ident):
-        return widths[e.name]
-    if isinstance(e, Paren):
-        return _expr_width(e.expr, widths, defn)
-    if isinstance(e, WaitCall):
-        return _expr_width(e.expr, widths, defn)
+        return bases[e.name]
+    if isinstance(e, (Paren, WaitCall)):
+        return _expr_bases(e.expr, bases, defn)
     if isinstance(e, Neg):
-        if _expr_width(e.expr, widths, defn) != 1:
+        b = _expr_bases(e.expr, bases, defn)
+        if len(b) != 1:
             raise TermTypeError(
                 f"operand of unary minus in {defn!r} is not a single stream")
-        return 1
-    if isinstance(e, BinOp):
-        lw = _expr_width(e.lhs, widths, defn)
-        rw = _expr_width(e.rhs, widths, defn)
-        if e.op == "fby":
-            if lw != rw:
-                raise TermTypeError(
-                    f"fby in {defn!r} combines streams of width {lw} and "
-                    f"{rw}")
-            return lw
-        if lw != 1 or rw != 1:
+        if b != (INT,):
             raise TermTypeError(
-                f"operands of {e.op!r} in {defn!r} must be single streams")
-        return 1
+                f"operand of unary minus in {defn!r} must be an int stream, "
+                f"not {b[0]!r}")
+        return b
     if isinstance(e, TupleExpr):
-        return sum(_expr_width(x, widths, defn) for x in e.items)
-    raise ElaborationError(f"unknown expression node {e!r}")
+        return tuple(b for x in e.items for b in _expr_bases(x, bases, defn))
+    lb = _expr_bases(e.lhs, bases, defn)
+    rb = _expr_bases(e.rhs, bases, defn)
+    if e.op == "fby":
+        if len(lb) != len(rb):
+            raise TermTypeError(
+                f"fby in {defn!r} combines streams of width {len(lb)} and "
+                f"{len(rb)}")
+        if lb != rb:
+            raise TermTypeError(
+                f"fby in {defn!r} combines {_bases_str(lb)} and "
+                f"{_bases_str(rb)} streams")
+        return lb
+    if len(lb) != 1 or len(rb) != 1:
+        raise TermTypeError(
+            f"operands of {e.op!r} in {defn!r} must be single streams")
+    if lb + rb != (INT, INT):
+        raise TermTypeError(
+            f"operands of {e.op!r} in {defn!r} must be int streams, not "
+            f"{lb[0]!r} and {rb[0]!r}")
+    return lb
+
+
+def _bases_str(bases):
+    return ", ".join(repr(b) for b in bases)
 
 
 def check_causality(p: Program) -> Analysis:
@@ -544,7 +560,9 @@ def check_causality(p: Program) -> Analysis:
     annotated with their demanded delay, strongly connected components of the
     definition graph in elaboration order, and stream widths.  Raises
     :class:`CausalityError` on an unguarded cycle, a ``wait`` whose result is
-    needed at the first tick, or an input read before its declared delay.
+    needed at the first tick, or an input read before its declared delay,
+    and :class:`TermTypeError`, naming the definition, when widths or bases
+    do not fit.
     """
     occs = []
     for d in p.defs:
@@ -578,20 +596,20 @@ def check_causality(p: Program) -> Analysis:
             members = _zero_delay_order(members, zero, occs)
         sccs.append(members)
 
-    widths = {i.name: 1 for i in p.inputs}
+    bases = {i.name: (i.wire.base,) for i in p.inputs}
     for comp in sccs:
         for n in comp:
-            widths[n] = 1
+            bases[n] = (INT,)
         for n in comp:
-            d = p.definition(n)
-            w = _expr_width(d.expr, widths, n)
+            b = _expr_bases(p.definition(n).expr, bases, n)
             if n in recursive:
-                if w != 1:
+                if len(b) != 1:
                     raise TermTypeError(
                         f"recursive definition {n!r} must be a single "
                         "stream")
             else:
-                widths[n] = w
+                bases[n] = b
+    widths = {n: len(b) for n, b in bases.items()}
     return Analysis(p, tuple(occs), tuple(sccs), frozenset(recursive),
                     widths)
 
@@ -600,156 +618,113 @@ def check_causality(p: Program) -> Analysis:
 # Elaboration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Entry:
-    name: Optional[str]
-    wire: WireType
-    fed: bool = False
+_OPS = {"+": "plus", "-": "minus", "*": "times"}
 
 
-def _ws(env):
-    return tuple(e.wire for e in env)
+def _seq(*ts):
+    """``seq`` of the terms that are not identities."""
+    steps = [t for t in ts if not isinstance(t, Id)]
+    return seq(*steps) if steps else ts[0]
 
 
-def _compose(steps, t):
-    if not isinstance(t, Id):
-        steps.append(t)
+def _beside(t, ws):
+    """``t`` with the wires ``ws`` passing by below it."""
+    return par(t, Id(ws)) if ws else t
 
 
-def _route(env, srcs):
-    """Bring ``env[srcs]`` to the front (rest keeps order); returns a step."""
-    rest = [i for i in range(len(env)) if i not in set(srcs)]
-    perm = list(srcs) + rest
-    t = perm_term(_ws(env), tuple(perm))
-    return t, [env[i] for i in perm]
+def _gather(env, picks):
+    """The wiring from the blocks of ``env`` to the blocks ``picks``, in order.
 
-
-def _block(env, name, fed=False):
-    for i, e in enumerate(env):
-        if e.name == name and e.fed == fed:
-            k = 1
-            while i + k < len(env) and env[i + k].name == name \
-                    and env[i + k].fed == fed:
-                k += 1
-            return i, k
-    return None
-
-
-def _pad_waits(steps, env, k, rounds):
-    for _ in range(rounds):
-        front = [Wait(env[j].wire) for j in range(k)]
-        rest = _ws(env[k:])
-        _compose(steps, par(*front, Id(rest)))
-        env = [dataclasses.replace(env[j], wire=env[j].wire.shifted(1))
-               for j in range(k)] + env[k:]
-    return env
+    Blocks are ``(key, wires)`` pairs.  A block picked n ≥ 2 times is copied
+    n − 1 times, an unpicked one is discarded, and one permutation puts the
+    copies in the order of ``picks``.
+    """
+    parts, outs, copies = [], (), {}
+    for key, ws in env:
+        n = picks.count((key, ws))
+        part = Discard(ws) if n == 0 else Id(ws)
+        for c in range(1, n):
+            part = _seq(part, _beside(Copy(ws), ws * (c - 1)))
+        if isinstance(part, Id) and parts and isinstance(parts[-1], Id):
+            parts[-1] = Id(parts[-1].ws + ws)
+        else:
+            parts.append(part)
+        at, k = len(outs), len(ws)
+        copies[key] = [range(at + i * k, at + (i + 1) * k) for i in range(n)]
+        outs += ws * n
+    perm = [j for key, _ in picks for j in copies[key].pop(0)]
+    layer = par(*parts) if parts else Id(())
+    return _seq(layer, perm_term(outs, perm))
 
 
 class _Elab:
+    """Each expression becomes its own term over the env blocks it uses.
+
+    An env block is ``((name, fed), wires)``: a declared input, an elaborated
+    definition, or (``fed``) the fed-back wire of a recursive definition.
+    """
+
     def __init__(self, analysis):
         self.an = analysis
         self.p = analysis.program
-        self.widths = analysis.widths
         self.delays = {d.name: 0 for d in self.p.defs}
         self.delays.update(
             {i.name: i.wire.delay for i in self.p.inputs})
+        self.wires = {(i.name, False): (i.wire,) for i in self.p.inputs}
 
-    # expression elaboration: extend ``steps`` with terms mapping the wires
-    # of ``env`` to the result wires followed by the unchanged ``env``.
-
-    def expr(self, e, d, env, scc, steps):
+    def term(self, e, d, scc):
+        """``(t, uses, outs)``: ``t`` maps the env blocks ``uses``, in order,
+        to the wires ``outs`` of ``e`` at demand ``d``."""
         if isinstance(e, Paren):
-            return self.expr(e.expr, d, env, scc, steps)
+            return self.term(e.expr, d, scc)
         if isinstance(e, IntLit):
-            _compose(steps, par(Const(e.value, INT, d), Id(_ws(env))))
-            return [_Entry(None, WireType(INT, d))] + env
+            return Const(e.value, INT, d), [], (WireType(INT, d),)
         if isinstance(e, UnifCall):
-            _compose(steps,
-                     par(Gen("unif", d, args=e.values()), Id(_ws(env))))
-            return [_Entry(None, WireType(INT, d))] + env
+            return (Gen("unif", d, args=e.values()), [],
+                    (WireType(INT, d),))
         if isinstance(e, Ident):
-            return self.use(e, d, env, scc, steps)
+            # a recursive use after a delay reads the fed-back block (delay 1)
+            key = (e.name, e.name in scc and d >= 1)
+            ws = self.wires[key]
+            t, outs = Id(ws), ws
+            for _ in range(d - ws[0].delay):
+                t = _seq(t, par(*(Wait(w) for w in outs)))
+                outs = shift_wires(outs)
+            return t, [(key, ws)], outs
         if isinstance(e, Neg):
-            env = self.expr(e.expr, d, env, scc, steps)
-            _compose(steps, par(Gen("neg", d), Id(_ws(env[1:]))))
-            return [_Entry(None, WireType(INT, d))] + env[1:]
+            t, uses, _ = self.term(e.expr, d, scc)
+            return _seq(t, Gen("neg", d)), uses, (WireType(INT, d),)
         if isinstance(e, WaitCall):
-            if d == 0:
-                raise ElaborationError("wait(...) demanded at the first tick")
-            env = self.expr(e.expr, d - 1, env, scc, steps)
-            return _pad_waits(steps, env, self._width(e.expr), 1)
+            t, uses, outs = self.term(e.expr, d - 1, scc)
+            return (_seq(t, par(*(Wait(w) for w in outs))), uses,
+                    shift_wires(outs))
         if isinstance(e, TupleExpr):
-            for item in e.items:
-                env = self.expr(item, d, env, scc, steps)
-            k = self._width(e)
-            blocks, at = [], 0
-            for item in reversed(e.items):
-                w = self._width(item)
-                blocks.insert(0, list(range(at, at + w)))
-                at += w
-            srcs = [i for b in blocks for i in b]
-            t, env = _route(env, srcs)
-            _compose(steps, t)
-            return [dataclasses.replace(x, name=None) for x in env[:k]] \
-                + env[k:]
+            items = [self.term(x, d, scc) for x in e.items]
+            return (par(*(t for t, _, _ in items)),
+                    [u for _, uses, _ in items for u in uses],
+                    tuple(w for _, _, outs in items for w in outs))
+        if isinstance(e, BinOp) and e.op == "fby":
+            return self.fby(e, d, scc)
         if isinstance(e, BinOp):
-            if e.op == "fby":
-                return self.fby(e, d, env, scc, steps)
-            env = self.expr(e.lhs, d, env, scc, steps)
-            env = self.expr(e.rhs, d, env, scc, steps)
-            rw, lw = env[0].wire, env[1].wire
-            _compose(steps, par(Sym((rw,), (lw,)), Id(_ws(env[2:]))))
-            name = {"+": "plus", "-": "minus", "*": "times"}[e.op]
-            _compose(steps, par(Gen(name, d), Id(_ws(env[2:]))))
-            return [_Entry(None, WireType(INT, d))] + env[2:]
+            tl, ul, _ = self.term(e.lhs, d, scc)
+            tr, ur, _ = self.term(e.rhs, d, scc)
+            return (seq(par(tl, tr), Gen(_OPS[e.op], d)), ul + ur,
+                    (WireType(INT, d),))
         raise ElaborationError(f"unknown expression node {e!r}")
 
-    def _width(self, e):
-        return _expr_width(e, self.widths, "?")
-
-    def use(self, e, d, env, scc, steps):
-        if e.name in scc and d >= 1:
-            loc = _block(env, e.name, fed=True)
-            if loc is None:
-                raise ElaborationError(f"missing fed wire for {e.name!r}")
-            pad = d - 1
-        else:
-            loc = _block(env, e.name, fed=False)
-            if loc is None:
-                raise ElaborationError(f"{e.name!r} is not available yet")
-            pad = d - env[loc[0]].wire.delay
-            if pad < 0:
-                raise ElaborationError(
-                    f"{e.name!r} used before its declared delay")
-        i, k = loc
-        ws = _ws(env)
-        block = ws[i:i + k]
-        _compose(steps, par(Id(ws[:i]), Copy(block), Id(ws[i + k:])))
-        doubled = env[:i + k] + env[i:]  # second copy sits after the first
-        t, env2 = _route(doubled, range(i + k, i + 2 * k))
-        _compose(steps, t)
-        env2 = [dataclasses.replace(x, name=None, fed=False)
-                for x in env2[:k]] + env2[k:]
-        return _pad_waits(steps, env2, k, pad)
-
-    def fby(self, e, d, env, scc, steps):
-        k = self._width(e)
-        env = self.expr(e.lhs, d, env, scc, steps)
+    def fby(self, e, d, scc):
+        ta, ua, outs = self.term(e.lhs, d, scc)
         # A recursive delayed slot cancels against the fed-back wire (read
         # one tick later); likewise when the slot cannot be produced this
         # early.  Otherwise a register delays the same-tick value internally;
         # the two encodings agree observationally.
-        delayed = (scc and self._mentions(e.rhs, scc)) \
-            or not self._demandable(e.rhs, d)
-        env = self.expr(e.rhs, d + 1 if delayed else d, env, scc, steps)
-        srcs = [j for i in range(k) for j in (k + i, i)]  # interleave (a, b)
-        t, env = _route(env, srcs)
-        _compose(steps, t)
+        delayed = self._mentions(e.rhs, scc) or not self._demandable(e.rhs, d)
+        tb, ub, ob = self.term(e.rhs, d + 1 if delayed else d, scc)
+        k = len(outs)
+        pairs = perm_term(outs + ob, [j for i in range(k) for j in (i, k + i)])
         box = FbyBox if delayed else Register
-        boxes = [box(env[2 * i].wire) for i in range(k)]
-        _compose(steps, par(*boxes, Id(_ws(env[2 * k:]))))
-        return [_Entry(None, env[2 * i].wire) for i in range(k)] \
-            + env[2 * k:]
+        return (_seq(par(ta, tb), pairs, par(*(box(w) for w in outs))),
+                ua + ub, outs)
 
     def _demandable(self, e, d):
         """Can every leaf of ``e`` deliver a value at demand ``d``?"""
@@ -784,67 +759,54 @@ class _Elab:
             return any(self._mentions(x, names) for x in e.items)
         return False
 
-    # definition groups -----------------------------------------------------
+    # definitions -----------------------------------------------------------
 
-    def group(self, comp, env, steps):
+    def define(self, name, scc, env):
+        """One step from ``env`` to the wires of ``name`` followed by ``env``,
+        and the env after it."""
+        t, uses, outs = self.term(self.p.definition(name).expr, 0, scc)
+        self.wires[name, False] = outs
+        rest = tuple(w for _, ws in env for w in ws)
+        step = _seq(_gather(env, uses + env), _beside(t, rest))
+        return step, [((name, False), outs)] + env
+
+    def group(self, comp, env):
+        """The step of one SCC of definitions, and the env after it."""
         if comp[0] not in self.an.recursive:
-            n = comp[0]
-            env = self.expr(self.p.definition(n).expr, 0, env, frozenset(),
-                            steps)
-            k = self.widths[n]
-            return [dataclasses.replace(x, name=n) for x in env[:k]] \
-                + env[k:]
+            return self.define(comp[0], frozenset(), env)
         scc = frozenset(comp)
-        fed = [_Entry(n, WireType(INT, 1), fed=True) for n in comp]
-        benv = fed + env
-        bsteps = []
+        fed = [((n, True), (WireType(INT, 1),)) for n in comp]
+        vals = [((n, False), (WireType(INT, 0),)) for n in comp]
+        self.wires.update(fed)
+        steps, benv = [], fed + env
         for n in comp:
-            benv = self.expr(self.p.definition(n).expr, 0, benv, scc,
-                             bsteps)
-            if benv[0].wire != WireType(INT, 0):
-                raise TermTypeError(
-                    f"recursive definition {n!r} must produce an integer "
-                    "stream at delay 0")
-            benv = [dataclasses.replace(benv[0], name=n)] + benv[1:]
-        k = len(comp)
-        # values sit reversed in front; restore definition-group order
-        order = {n: i for i, n in enumerate(comp)}
-        srcs = sorted(range(k), key=lambda j: order[benv[j].name])
-        t, benv = _route(benv, srcs)
-        _compose(bsteps, t)
-        vals, feds, outer = benv[:k], benv[k:2 * k], benv[2 * k:]
-        _compose(bsteps, par(Copy(_ws(vals)), Discard(_ws(feds)),
-                             Id(_ws(outer))))
-        body = seq(*bsteps) if bsteps else Id(_ws(benv))
-        _compose(steps, Fbk(_ws(vals), body))
-        return [dataclasses.replace(v, fed=False) for v in vals] \
-            + [dataclasses.replace(x) for x in outer]
+            step, benv = self.define(n, scc, benv)
+            steps.append(step)
+        # copy the values out, drop the fed wires
+        steps.append(_gather(benv, vals + vals + env))
+        return Fbk((WireType(INT, 0),) * len(comp), seq(*steps)), vals + env
 
 
 def elaborate(p: Program, main: Optional[str] = None) -> Term:
     """Compile a causality-checked program to a feedback term.
 
     The result maps the declared input wires to the wires of ``main`` (by
-    default the program's designated main).  Each recursive group becomes one
-    ``Fbk``; every recursive use at delay d reads the fed-back wire through
-    d−1 waits; non-recursive ``a fby b`` becomes a register.
+    default the program's designated main).  Each definition is one step:
+    one wiring brings the env blocks its expression uses in front of the
+    env, and the expression's own term maps them to its value.  Each
+    recursive group becomes one ``Fbk``; every recursive use at delay d
+    reads the fed-back wire through d−1 waits; non-recursive ``a fby b``
+    becomes a register.
     """
     an = check_causality(p)
     name = main if main is not None else p.main
     if p.definition(name) is None:
         raise TermTypeError(f"no definition named {name!r}")
     el = _Elab(an)
-    env = [_Entry(i.name, i.wire) for i in p.inputs]
-    in_ws = _ws(env)
+    env = [((i.name, False), (i.wire,)) for i in p.inputs]
     steps = []
     for comp in an.sccs:
-        env = el.group(comp, env, steps)
-    i, k = _block(env, name)
-    t, env = _route(env, range(i, i + k))
-    _compose(steps, t)
-    rest = _ws(env[k:])
-    if rest:
-        _compose(steps, par(Id(_ws(env[:k])), Discard(rest)))
-    if not steps:
-        return Id(in_ws)
-    return seq(*steps)
+        step, env = el.group(comp, env)
+        steps.append(step)
+    steps.append(_gather(env, [((name, False), el.wires[name, False])]))
+    return _seq(*steps)

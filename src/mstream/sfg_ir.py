@@ -750,13 +750,26 @@ class _TokenParser:
             self.fail(f"expected {text!r}")
         return self.next()
 
+    @staticmethod
+    def int_value(tok: _Tok) -> int:
+        """The value of an integer token of any length.
+
+        Converts at most 4000 digits at a time, so Python's limit on the
+        digits of one ``int(str)`` conversion never applies.
+        """
+        n = 0
+        for i in range(0, len(tok.text), 4000):
+            chunk = tok.text[i:i + 4000]
+            n = n * 10 ** len(chunk) + int(chunk)
+        return n
+
     def signed_int(self) -> int:
         neg = self.try_op("-")
         t = self.peek()
         if t.kind != "int":
             self.fail("expected an integer")
         self.next()
-        return -int(t.text) if neg else int(t.text)
+        return -self.int_value(t) if neg else self.int_value(t)
 
     def value(self) -> Value:
         t = self.peek()
@@ -802,7 +815,7 @@ class _TokenParser:
         if t.kind != "int":
             self.fail("expected a delay")
         self.next()
-        return int(t.text)
+        return self.int_value(t)
 
 
 _PAIR_TERMS = {"seq": Seq, "par": Par}

@@ -430,6 +430,18 @@ def test_type_error_names_its_location_once():
     assert p.stderr == "mstream: unknown generator 'foo' (at seq/1)\n"
 
 
+@pytest.mark.parametrize("defn, line", [("main", "main = x + 1"),
+                                         ("main", "main = -x"),
+                                         ("y", "y = x fby 2")])
+def test_program_type_errors_name_the_definition(tmp_path, capsys, defn,
+                                                 line):
+    src = tmp_path / "bad.ms"
+    src.write_text(f"input x : {{0,1}}\n{line}\n")
+    code, out, err = cli(capsys, "run", str(src), "--steps", "1")
+    assert code == 3 and out == ""
+    assert f"in {defn!r}" in err and "(at " not in err
+
+
 def test_main_lifts_the_digit_limit_only_while_it_runs(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     before = limit()

@@ -1,9 +1,12 @@
-"""Source hygiene: every name a module imports is used by that module.
+"""Source hygiene: every name a module imports is used by that module, and
+every private module-level name is read somewhere in the package.
 
 Runs on the package sources with the stdlib ``ast`` module only, since no
 linter is a dependency. An imported name counts as used when the module
 reads it anywhere (including annotations), lists it in ``__all__``, or
-imports it on a line marked ``# noqa: F401``.
+imports it on a line marked ``# noqa: F401``. A ``_private`` function,
+class or constant counts as read when some module of the package names it
+as a variable, an attribute or an import.
 """
 
 import ast
@@ -63,3 +66,62 @@ def test_guard_sees_unused_import(tmp_path):
         "def f(s: Sequence) -> None:\n"
         "    pass\n")
     assert unused_imports(mod) == ["Optional"]
+
+
+def _private_defs(tree):
+    """Module-level ``_private`` functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def _reads(tree):
+    """Every name the module reads, as a variable, attribute or import."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (a.name for a in n.names)
+
+
+def dead_private_names(paths):
+    """``module.name`` for each private module-level name that no module
+    among ``paths`` reads."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in paths}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items()
+                  for name in _private_defs(tree) if name not in read)
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_sees_dead_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_dead: int = 0\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def _shared():\n"
+        "    pass\n"
+        "__all__ = []\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import _shared\n"
+        "def f(m):\n"
+        "    return m._helper()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert dead_private_names(paths) == ["a._Unused", "a._dead"]

@@ -1,4 +1,7 @@
+import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -27,7 +30,13 @@ from mstream.lang import (
     pretty_expr,
     pretty_program,
 )
-from mstream.sfg_ir import WireType, compile as compile_term, default_signature, infer_type
+from mstream.sfg_ir import (
+    WireType,
+    compile as compile_term,
+    default_signature,
+    infer_type,
+    read_term,
+)
 from mstream.stream_core import observe_marginals, run_det, sample_trace
 
 F = Fraction
@@ -120,6 +129,14 @@ def test_parse_errors():
     for src in cases:
         with pytest.raises(ParseError):
             parse(src)
+
+
+def test_long_integer_literals():
+    before = sys.get_int_max_str_digits()
+    big = "9" * 5000
+    assert parse("main = " + big).defs[0].expr == IntLit(10 ** 5000 - 1)
+    assert read_term("unif{" + big + "}@0").args == (10 ** 5000 - 1,)
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_parse_error_position():
@@ -218,6 +235,18 @@ def test_width_errors():
         check_causality(parse("y = 1 fby (2, 3)\n"))
     with pytest.raises(TermTypeError):
         check_causality(parse("p = (0, 0) fby p\n"))
+
+
+def test_base_errors_name_the_definition():
+    for src in ("input x : bool\ny = x + 1\n",
+                "input x : {0,1}\ny = -x\n",
+                "input x : {0,1}\ny = x fby 2\n",
+                "input x : int[0..2]\ny = 0 fby x\n"):
+        with pytest.raises(TermTypeError, match="in 'y'") as e:
+            check_causality(parse(src))
+        assert "(at " not in str(e.value)
+    an = check_causality(parse("input x : bool\ny = (x fby x, 1)\n"))
+    assert an.widths["y"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +369,97 @@ def test_sample_walk_steps():
     vals = [r[0] for r in tr]
     assert vals[0] == 0
     assert all(abs(b - a) == 1 for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# a reference evaluator for deterministic programs
+# ---------------------------------------------------------------------------
+
+def reference_rows(p, inputs, n):
+    """Main's rows at ticks 0..n, read off the equations directly.
+
+    ``inputs`` maps each input name to its values by row; an input declared
+    at delay δ reads row t + δ at tick t.
+    """
+    defs = {d.name: d.expr for d in p.defs}
+    delays = {i.name: i.wire.delay for i in p.inputs}
+
+    @lru_cache(maxsize=None)
+    def name_at(x, t):
+        if x in delays:
+            return (inputs[x][t + delays[x]],)
+        return at(defs[x], t)
+
+    def at(e, t):
+        if isinstance(e, IntLit):
+            return (e.value,)
+        if isinstance(e, Ident):
+            return name_at(e.name, t)
+        if isinstance(e, (Paren, WaitCall)):  # wait only retimes
+            return at(e.expr, t)
+        if isinstance(e, Neg):
+            return (-at(e.expr, t)[0],)
+        if isinstance(e, TupleExpr):
+            return sum((at(x, t) for x in e.items), ())
+        if e.op == "fby":
+            return at(e.lhs, 0) if t == 0 else at(e.rhs, t - 1)
+        a, b = at(e.lhs, t)[0], at(e.rhs, t)[0]
+        return ({"+": a + b, "-": a - b, "*": a * b}[e.op],)
+
+    return [name_at(p.main, t) for t in range(n + 1)]
+
+
+def random_det_program(rng):
+    """A causal program without ``unif``: self and mutual recursion, forward
+    references, ``fby``, ``wait``, tuples and inputs at delay 0 or 1."""
+    inputs = [(f"x{k}", rng.choice((0, 0, 1))) for k in range(rng.randint(0, 2))]
+    names = [f"d{i}" for i in range(rng.randint(1, 4))] + ["main"]
+    widths = [rng.choice((1, 1, 1, 2)) for _ in names]
+
+    def one(i, d, depth):
+        # names at demand 0 point backwards only, so every cycle has an fby
+        pool = [x for x, delay in inputs if delay <= d] + [
+            n for j, n in enumerate(names) if widths[j] == 1
+            and (j < i or (d >= 1 and widths[i] == 1))]
+        kind = rng.choice(("lit", "name", "name") + (
+            ("neg", "op", "op", "fby", "fby") + (("wait",) if d else ())
+            if depth else ()))
+        if kind == "name" and pool:
+            return rng.choice(pool)
+        if kind == "neg":
+            return "- " + one(i, d, depth - 1)
+        if kind == "op":
+            return (f"({one(i, d, depth - 1)} {rng.choice('+-*')} "
+                    f"{one(i, d, depth - 1)})")
+        if kind == "fby":
+            return f"({one(i, d, depth - 1)} fby {one(i, d + 1, depth - 1)})"
+        if kind == "wait":
+            return f"wait({one(i, d - 1, depth - 1)})"
+        return str(rng.randint(0, 3))
+
+    def expr(i):
+        depth = rng.randint(1, 3)
+        if widths[i] == 1:
+            return one(i, 0, depth)
+        pair = f"({one(i, 0, depth)}, {one(i, 0, depth)})"
+        later = f"({one(i, 1, depth)}, {one(i, 1, depth)})"
+        return rng.choice((pair, f"{pair} fby {later}"))
+
+    lines = [f"input {x} : int@{delay}" for x, delay in inputs]
+    lines += [f"{n} = {expr(i)}" for i, n in enumerate(names)]
+    values = {x: [rng.randint(-3, 3) for _ in range(10)] for x, _ in inputs}
+    return "\n".join(lines) + "\n", values
+
+
+def test_elaboration_agrees_with_reference_evaluator():
+    rng = random.Random(0x5EED)
+    checked = 0
+    while checked < 1000:
+        src, values = random_det_program(rng)
+        p = parse(src)
+        rows = [tuple(values[i.name][t] for i in p.inputs
+                      if i.wire.delay <= t) for t in range(8)]
+        got = run_det(compile_term(elaborate(p), SIG),
+                      rows if p.inputs else None, None if p.inputs else 7)
+        assert got == reference_rows(p, values, 7), src
+        checked += 1

@@ -264,10 +264,12 @@ def test_perm_term_moves_a_block_to_the_front_with_one_sym():
 
 
 def test_ehrenfest_ir_stays_small():
-    path = Path(__file__).resolve().parent.parent / "programs" / "ehrenfest.ms"
-    t = elaborate(parse(path.read_text()))
-    assert node_count(t) <= 600
-    assert _sym_count(t) <= 60
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    t = elaborate(parse((programs / "ehrenfest.ms").read_text()))
+    assert node_count(t) <= 350
+    assert _sym_count(t) <= 15
+    fib = elaborate(parse((programs / "fib.ms").read_text()))
+    assert node_count(fib) <= 30
 
 
 def test_is_stochastic():
