@@ -6,8 +6,9 @@ distributions.  All output is computed in full before anything is printed, so
 a failure never leaves partial JSON behind.
 
 Exit codes: 0 success; 1 check found a difference; 2 syntax errors; 3
-causality or type errors (including malformed inputs); 4 a stochastic program
-under the deterministic backend; 5 state-cap exceeded.
+causality or type errors (including malformed inputs, and programs nested too
+deeply to process); 4 a stochastic program under the deterministic backend; 5
+state-cap exceeded.
 """
 
 from __future__ import annotations
@@ -373,6 +374,11 @@ def _main(argv) -> int:
         return 5
     except MStreamError as e:  # anything else from the engine
         print(f"mstream: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # parsing, typing and kernel lowering recurse once per nesting level
+        print("mstream: the program is nested too deeply (Python's "
+              "recursion limit was reached)", file=sys.stderr)
         return 3
     for line in lines:
         print(line)

@@ -24,13 +24,17 @@ class NotEnumerable(MStreamError):
 class StateCapExceeded(MStreamError):
     """Exact observation grew past the configured state cap.
 
-    The offending size is carried in ``size``.
+    The offending size is carried in ``size``, and the tick at which it was
+    reached in ``tick`` when the caller knows it (else None).
     """
 
-    def __init__(self, size, cap):
-        super().__init__(f"joint support reached {size} entries (cap {cap})")
+    def __init__(self, size, cap, tick=None):
+        at = "" if tick is None else f" at tick {tick}"
+        super().__init__(
+            f"joint support reached {size} entries (cap {cap}){at}")
         self.size = size
         self.cap = cap
+        self.tick = tick
 
 
 class NondeterministicStream(MStreamError):

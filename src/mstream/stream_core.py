@@ -31,8 +31,9 @@ the trailing memory discarded.
 
 Observation of joint tables carries exact integer weights over one shared
 denominator per table; each tick scales that denominator by the least common
-multiple of the denominators of the kernel rows it reads. Results leave this
-module as ``Fraction`` masses and :class:`Dist` tables.
+multiple of the denominators of the kernel rows it reads. Input prefixes that
+reach equal tables share one copy. Results leave this module as ``Fraction``
+masses and :class:`Dist` tables.
 """
 
 from __future__ import annotations
@@ -383,6 +384,15 @@ class _Observation:
     multiple of the denominators of the kernel rows the tick reads, so the
     update is integer arithmetic throughout; ``truncation()`` returns
     ``Fraction`` masses.
+
+    Prefixes share equal tables. A process whose outputs ignore or discard
+    some inputs reaches one table from many prefixes, so ``j`` keeps each
+    tick's distinct tables once and maps every prefix to its table object.
+    ``advance`` builds the table of a (table, input row) pair the first
+    time its loop reaches the pair, and merges it into an equal table
+    built earlier in the tick; ``weights``, ``truncation`` and
+    ``same_truncation`` then work once per distinct table or pair of
+    tables. The state cap still counts a table's entries once per prefix.
     """
 
     def __init__(self, stream: Stream, cap: Optional[int] = None):
@@ -403,7 +413,8 @@ class _Observation:
         y_shape = self.stream.out_seq.at(0)
         lm_old, lm_new = self.mem_len, len(mem)
         x_rows = list(enumerate_rows(x_shape))
-        mems = {prev[:lm_old] for w in self.j.values() for prev in w}
+        tables = {id(w): w for w in self.j.values()}
+        mems = {prev[:lm_old] for w in tables.values() for prev in w}
         dists = {m + x: now.dist(m + x) for m in mems for x in x_rows}
         L = lcm(*{q.denominator for d in dists.values() for _, q in d.pairs()})
         # each kernel row as (new memory, this tick's output, mass * L)
@@ -411,20 +422,28 @@ class _Observation:
                     for v, q in d.pairs()]
                 for r, d in dists.items()}
         new_j = {}
+        built = {}  # (id(table), input row) -> the table it leads to
+        by_hash = {}  # order-independent hash -> first table built with it
         total = 0
         for xs, w in self.j.items():
-            split = [(prev[:lm_old], prev[lm_old:], p)
-                     for prev, p in w.items()]
             for x in x_rows:
-                acc = {}
-                for m, ys, p in split:
-                    for m2, y, n in rows[m + x]:
-                        key = m2 + ys + y
-                        acc[key] = acc.get(key, 0) + p * n
+                acc = built.get((id(w), x))
+                if acc is None:
+                    acc = {}
+                    for prev, p in w.items():
+                        ys = prev[lm_old:]
+                        for m2, y, n in rows[prev[:lm_old] + x]:
+                            key = m2 + ys + y
+                            acc[key] = acc.get(key, 0) + p * n
+                    same = by_hash.setdefault(sum(map(hash, acc.items())), acc)
+                    if same is not acc and same == acc:
+                        acc = same
+                    built[id(w), x] = acc
                 new_j[xs + x] = acc
                 total += len(acc)
                 if total > self.cap:
-                    raise StateCapExceeded(total, self.cap)
+                    raise StateCapExceeded(total, self.cap,
+                                           len(self.in_shapes))
         self.j = new_j
         self.scale *= L
         self.mem_len = lm_new
@@ -434,41 +453,56 @@ class _Observation:
 
     def weights(self) -> dict:
         """Memory-discarded integer weights over ``scale``:
-        input prefix row -> {output rows: weight}."""
+        input prefix row -> {output rows: weight}, one dict per distinct
+        table."""
         lm = self.mem_len
         if lm == 0:
             return self.j
-        out = {}
-        for xs, w in self.j.items():
+
+        def discard_mem(w):
             acc = {}
             for row, p in w.items():
                 ys = row[lm:]
                 acc[ys] = acc.get(ys, 0) + p
-            out[xs] = acc
-        return out
+            return acc
+
+        return _per_table(self.j, discard_mem)
 
     def truncation(self) -> dict:
-        """Memory-discarded joint: input prefix row -> {output rows: mass}."""
+        """Memory-discarded joint: input prefix row -> {output rows: mass},
+        one dict per distinct table."""
         s = self.scale
-        return {xs: {ys: Fraction(p, s) for ys, p in acc.items()}
-                for xs, acc in self.weights().items()}
+        return _per_table(self.weights(), lambda acc: {
+            ys: Fraction(p, s) for ys, p in acc.items()})
 
     def same_truncation(self, other: "_Observation") -> bool:
-        """Whether both truncations are equal, by cross-multiplied weights.
+        """Whether both truncations are equal, by cross-multiplied weights,
+        comparing each distinct pair of tables once.
 
         Both observations must run over the same input shapes.
         """
         ta, tb = self.weights(), other.weights()
         g = gcd(self.scale, other.scale)
         ka, kb = other.scale // g, self.scale // g
-        if ka == kb == 1:
-            return ta == tb
+        pairs = {}
         for xs, wa in ta.items():
             wb = tb[xs]
-            if wa.keys() != wb.keys() or any(
-                    p * ka != wb[ys] * kb for ys, p in wa.items()):
-                return False
-        return True
+            pairs[id(wa), id(wb)] = wa, wb
+        return all(wa.keys() == wb.keys()
+                   and all(p * ka == wb[ys] * kb for ys, p in wa.items())
+                   for wa, wb in pairs.values())
+
+
+def _per_table(j: dict, fn) -> dict:
+    """``{xs: fn(w) for xs, w in j.items()}``, calling ``fn`` once per
+    distinct table object, so prefixes that share a table share its image."""
+    done, out = {}, {}
+    for xs, w in j.items():
+        r = done.get(id(w))
+        if r is None:
+            r = done[id(w)] = fn(w)
+        out[xs] = r
+    return out
 
 
 class NStageProcess:
@@ -506,7 +540,7 @@ def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
     obs = _Observation(f, cap)
     for _ in range(n + 1):
         obs.advance()
-    table = {xs: Dist(acc) for xs, acc in obs.truncation().items()}
+    table = _per_table(obs.truncation(), Dist)
     in_shape = sum(obs.in_shapes, ())
     out_shape = sum(obs.out_shapes, ())
     kernel = Kernel(in_shape, out_shape, lambda row: table[row])
@@ -605,7 +639,7 @@ def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:
     cur = f
     w = {(): ONE}  # memory row -> mass
     result = []
-    for _ in range(n + 1):
+    for t in range(n + 1):
         mem, now, later = cur.unroll()
         lm = len(mem)
         joint = {}
@@ -615,7 +649,7 @@ def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:
                 r = joint.get(row)
                 joint[row] = pq if r is None else r + pq
         if len(joint) > limit:
-            raise StateCapExceeded(len(joint), limit)
+            raise StateCapExceeded(len(joint), limit, t)
         marg = {}
         w = {}
         for row, p in joint.items():

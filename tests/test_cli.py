@@ -241,6 +241,14 @@ def test_exact_state_cap_exits_5(capsys):
                          "--state-cap", "2")
     assert code == 5
     assert out == ""
+    assert err == ("mstream: joint support reached 4 entries (cap 2) "
+                   "at tick 0\n")
+    for cmd in (["exact", WALK, "--steps", "5"], ["check", WALK, WALK]):
+        code, out, err = cli(capsys, *cmd, "--state-cap", "3")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("mstream: joint support reached 4 entries "
+                              "(cap 3) at tick ")
 
 
 def test_exact_plain_format(capsys):
@@ -453,3 +461,16 @@ def test_main_lifts_the_digit_limit_only_while_it_runs(tmp_path, capsys):
     assert code == 0, err
     assert out == f"0,{big}\n"
     assert limit() == before
+
+
+@pytest.mark.parametrize("cmd, terms", [("run", 300), ("run", 1200),
+                                        ("check", 300)])
+def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
+    src = tmp_path / "deep.ms"
+    src.write_text("main = " + " + ".join(["1"] * terms) + "\n")
+    argv = [cmd, str(src)] + ([str(src)] if cmd == "check" else [])
+    p = mstream_proc(*argv)
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr.startswith("mstream: the program is nested too deeply")
+    assert "Traceback" not in p.stderr

@@ -35,6 +35,7 @@ from mstream.kernel import (
 from mstream.stream_core import (
     ShapeSeq,
     Stream,
+    _Observation,
     copy_stream,
     delay,
     discard_stream,
@@ -301,6 +302,15 @@ def test_observe_state_cap():
     with pytest.raises(StateCapExceeded) as e:
         observe(w, 5, cap=10)
     assert e.value.size > e.value.cap == 10
+    assert e.value.tick == 1
+    assert str(e.value) == ("joint support reached 16 entries (cap 10) "
+                            "at tick 1")
+    with pytest.raises(StateCapExceeded) as e:
+        observe_marginals(walk_stream(), 5, cap=3)
+    assert (e.value.size, e.value.tick) == (4, 3)
+    untimed = StateCapExceeded(4, 3)
+    assert str(untimed) == "joint support reached 4 entries (cap 3)"
+    assert untimed.tick is None
 
 
 def test_stream_checks_tick_kernels_at_construction():
@@ -544,6 +554,46 @@ def test_state_cap_hit_matches_fraction_reference():
         assert got == want, f"seed {seed}"
         hits += want is not None
     assert hits >= 10
+
+
+def test_first_difference_cap_hit_matches_fraction_reference():
+    horizon, cap = 4, 60
+    hits = decided = 0
+    for seed in range(40):
+        ow, t, u = random_pair_of_terms(seed)
+        for lhs, rhs in ((t, u), (t, seq_term(t, Id(ow))),
+                         (u, seq_term(u, Id(ow)))):
+            f, g = compile_term(lhs, FIN), compile_term(rhs, FIN)
+            a, b = FractionObservation(f, cap), FractionObservation(g, cap)
+            want = None
+            try:
+                for k in range(horizon + 1):
+                    a.advance()
+                    b.advance()
+                    if a.truncation() != b.truncation():
+                        want = k
+                        break
+            except StateCapExceeded as e:
+                with pytest.raises(StateCapExceeded) as got:
+                    first_difference(f, g, horizon, cap)
+                assert got.value.size == e.size, f"seed {seed}"
+                hits += 1
+                continue
+            assert first_difference(f, g, horizon, cap) == want, f"seed {seed}"
+            decided += 1
+    assert hits >= 10 and decided >= 10
+
+
+def test_prefixes_that_reach_one_table_share_it():
+    # two bool inputs, both discarded, beside one coin output
+    bools = ShapeSeq.constant((BOOL, BOOL))
+    f = par_comp(discard_stream(bools), coin_stream())
+    obs = _Observation(f)
+    for t in range(5):
+        obs.advance()
+        assert len(obs.j) == 4 ** (t + 1)
+        assert len({id(w) for w in obs.j.values()}) == 1, f"tick {t}"
+    assert observe(f, 4).kernel.table() == ref_observe(f, 4, 10 ** 6)
 
 
 def fresh_unit_stream(s):
