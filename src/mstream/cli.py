@@ -22,16 +22,11 @@ import sys
 from typing import Optional
 
 from .errors import (
-    BadIndex,
-    CausalityError,
-    ElaborationError,
     MStreamError,
     NondeterministicStream,
-    NotEnumerable,
     ParseError,
     ShapeMismatch,
     StateCapExceeded,
-    TermTypeError,
 )
 from .lang import elaborate, parse
 from .rng import mix
@@ -49,6 +44,7 @@ from .stream_core import (
     observe_marginals,
     run_det,
     sample_trace,
+    state_cap,
 )
 from .values import value_str, value_to_json
 
@@ -65,33 +61,38 @@ def _json_to_value(x):
     raise ShapeMismatch(f"not a stream value: {x!r}")
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; an unreadable one is a syntax error at 0:0."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason})", 0, 0)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}", 0, 0)
+
+
 def _read_inputs(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"inputs: {e.msg}", ln, e.colno)
-            if not isinstance(data, list):
-                raise ShapeMismatch(
-                    f"inputs line {ln}: each tick must be an array of values")
-            rows.append(tuple(_json_to_value(v) for v in data))
+    for ln, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"inputs: {e.msg}", ln, e.colno)
+        if not isinstance(data, list):
+            raise ShapeMismatch(
+                f"inputs line {ln}: each tick must be an array of values")
+        rows.append(tuple(_json_to_value(v) for v in data))
     return rows
 
 
 def _load_term(source, main, sig):
     """A .ms file elaborates as a program; anything else reads as a term."""
     if os.path.exists(source) or source.endswith(".ms"):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise ParseError(f"cannot read {source}: {e.strerror}", 0, 0)
-        return elaborate(parse(text), main)
+        return elaborate(parse(_read_text(source)), main)
     return read_term(source)
 
 
@@ -351,6 +352,12 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
+    if args.cmd in ("exact", "check") and args.state_cap is None:
+        try:
+            args.state_cap = state_cap()
+        except ValueError as e:
+            print(f"mstream: {e}", file=sys.stderr)
+            return 2
     try:
         if args.cmd == "check":
             code, lines = cmd_check(args.a, args.b, args.horizon, args.main,
@@ -362,21 +369,18 @@ def _main(argv) -> int:
     except ParseError as e:
         print(f"mstream: syntax error: {e}", file=sys.stderr)
         return 2
-    except (CausalityError, TermTypeError, ElaborationError, ShapeMismatch,
-            NotEnumerable, BadIndex) as e:
-        print(f"mstream: {e}", file=sys.stderr)
-        return 3
     except NondeterministicStream as e:
         print(f"mstream: {e}", file=sys.stderr)
         return 4
     except StateCapExceeded as e:
         print(f"mstream: {e}", file=sys.stderr)
         return 5
-    except MStreamError as e:  # anything else from the engine
+    except MStreamError as e:  # causality, type, shape and other errors
         print(f"mstream: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # parsing, typing and kernel lowering recurse once per nesting level
+        # parsing, elaboration, type checking and tick lowering recurse
+        # once per nesting level; type checking gives out first
         print("mstream: the program is nested too deeply (Python's "
               "recursion limit was reached)", file=sys.stderr)
         return 3

@@ -496,20 +496,8 @@ def const_source(v: Value, base: Base) -> Kernel:
     return det_kernel(unit_shape, (base,), lambda row: (v,))
 
 
-def _same(prog, ins):
-    return ins
-
-
-def _none(prog, ins):
-    return ()
-
-
-def _twice(prog, ins):
-    return ins + ins
-
-
 def identity_kernel(shape) -> Kernel:
-    return Kernel(shape, shape, None, _same)
+    return rewire(shape, range(len(shape)))
 
 
 def rewire(in_shape, indices) -> Kernel:
@@ -527,17 +515,16 @@ def rewire(in_shape, indices) -> Kernel:
 
 
 def copy(shape) -> Kernel:
-    return Kernel(shape, tuple(shape) + tuple(shape), None, _twice)
+    return rewire(shape, tuple(range(len(shape))) * 2)
 
 
 def discard(shape) -> Kernel:
-    return Kernel(shape, unit_shape, None, _none)
+    return rewire(shape, ())
 
 
 def swap(a, b) -> Kernel:
-    la = len(a)
-    return Kernel(tuple(a) + tuple(b), tuple(b) + tuple(a), None,
-                  lambda prog, ins: ins[la:] + ins[:la])
+    la, n = len(a), len(a) + len(b)
+    return rewire(tuple(a) + tuple(b), tuple(range(la, n)) + tuple(range(la)))
 
 
 def kernel_compose(f: Kernel, g: Kernel) -> Kernel:

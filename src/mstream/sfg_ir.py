@@ -76,20 +76,6 @@ class WireType:
 Wires = Tuple[WireType, ...]
 
 
-def wires(*pairs) -> Wires:
-    """Convenience: wires(INT, (BOOL, 2)) == (int@0, bool@2)."""
-    out = []
-    for p in pairs:
-        if isinstance(p, WireType):
-            out.append(p)
-        elif isinstance(p, Base):
-            out.append(WireType(p, 0))
-        else:
-            base, d = p
-            out.append(WireType(base, d))
-    return tuple(out)
-
-
 def shift_wires(ws: Wires, k: int = 1) -> Wires:
     return tuple(w.shifted(k) for w in ws)
 

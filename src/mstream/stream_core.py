@@ -1,29 +1,28 @@
 """Coinductive synchronous stream processes.
 
 A stream process maps an input wire sequence to an output wire sequence one
-tick at a time, threading a memory from each tick into the next. It is held
-as a short prefix of tick kernels followed by one stationary kernel, each
-mapping (memory read ⊗ input) to (memory written ⊗ output), and this list is
-built once, when the process is composed. ``Stream.unroll`` steps it one
-tick: the rest of a process is the same list one kernel shorter, and once the
-prefix is spent the rest is the process itself, so every later tick reuses
-one kernel and that kernel's cache. Composition builds each tick's kernel
-from the two components' kernels at that tick; feedback leaves the kernels
-alone and moves the fed-back wires into memory.
+tick at a time, threading a memory from each tick into the next: its tick-t
+kernel maps (memory read ⊗ input) to (memory written ⊗ output). A leaf holds
+a short prefix of tick kernels, then one stationary kernel. Composition builds
+no kernel: a composite is a node of its composition tree, and its tick-t
+kernel, built on first use, lowers the tree at tick t (:func:`_lower`).
+``Stream.unroll`` steps a process one tick: the rest of a process is a leaf
+holding its tick kernels one shorter, and once the prefix is spent the rest
+is the process itself, so every later tick reuses one kernel and its cache.
 
-A composite tick kernel is not evaluated as the tree it was composed as. On
-its first ``dist`` it lowers itself, once, to one flat program of leaf ops
-over a slot file (``kernel._flatten``): copies, discards, swaps and the
-buffer tails resolve to slot maps and emit no op, deterministic generators
-become pure ops, and every other leaf becomes one op that branches over the
-rows of its own ``dist``. A liveness pass drops the ops whose outputs
-nothing reads. Each input row is then evaluated forward over a table from
-the values of the slots still read to their masses: each stochastic op
-expands every entry by its rows, and entries that agree on the slots read
-later merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths.
-Each row builds one :class:`Dist`, so a deterministic tick builds one. Only
-the evaluated kernel holds a cache, and that cache is cleared when it
-reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
+A tick kernel is not evaluated as the tree it was composed as. On its first
+``dist`` it lowers itself, once, to one flat program of leaf ops over a
+slot file (``kernel._flatten``): copies, discards, swaps and the buffer
+tails resolve to slot maps and emit no op, deterministic generators become
+pure ops, and every other leaf becomes one op that branches over the rows
+of its own ``dist``. A liveness pass drops the ops whose outputs nothing
+reads. Each input row is then evaluated forward over a table from the
+values of the slots still read to their masses: each stochastic op expands
+every entry by its rows, and entries that agree on the slots read later
+merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths. Each
+row builds one :class:`Dist`, so a deterministic tick builds one. Only the
+evaluated kernel holds a cache, and that cache is cleared when it reaches
+``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
@@ -71,8 +71,16 @@ DEFAULT_STATE_CAP = 10 ** 6
 
 
 def state_cap() -> int:
-    """The configured bound on exact joint-support size."""
-    return int(os.environ.get("MSTREAM_STATE_CAP", DEFAULT_STATE_CAP))
+    """The exact-observation cap: ``MSTREAM_STATE_CAP``, else the default."""
+    text = os.environ.get("MSTREAM_STATE_CAP", str(DEFAULT_STATE_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"MSTREAM_STATE_CAP must be a positive integer, got {text!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +161,31 @@ _NO_MEM = ShapeSeq.constant(unit_shape)
 
 
 class Stream:
-    """A synchronous stream process: a short prefix of tick kernels, then one
-    stationary kernel.
+    """A synchronous stream process: a leaf, or a composition tree node.
 
     ``x`` is the input sequence without memory, ``out_seq`` the output
     sequence and ``mem`` the memory: ``mem.at(t)`` is read at tick t, and
     ``mem.at(t + 1)`` is written by it. ``kernel(t)`` is ``ks[t]`` before tick
-    ``len(ks)`` and ``tail`` from then on; it maps ``mem.at(t) ⊗ x.at(t)`` to
-    ``mem.at(t + 1) ⊗ out_seq.at(t)``. ``in_seq`` is ``x`` with ``mem.at(0)``
-    glued in front of tick 0.
+    ``n = len(ks)`` and ``tail`` from then on; it maps ``mem.at(t) ⊗ x.at(t)``
+    to ``mem.at(t + 1) ⊗ out_seq.at(t)``. ``in_seq`` is ``x`` with
+    ``mem.at(0)`` glued in front of tick 0.
 
-    The constructor pads ``ks`` with ``tail`` up to the longest shape prefix
-    and checks every tick kernel against its shapes once.
+    The constructor makes a leaf, padding ``ks`` with ``tail`` up to the
+    longest shape prefix and checking each tick kernel's shapes once. A
+    composite's ``n`` is the tick from which every part is stationary, and
+    it builds its tick kernels on first use (:func:`_lower`).
     """
 
-    __slots__ = ("x", "out_seq", "mem", "ks", "tail", "in_seq", "_cell")
+    __slots__ = ("x", "out_seq", "mem", "in_seq", "n", "_ks", "_op",
+                 "_parts", "_cell")
 
     def __init__(self, x: ShapeSeq, out_seq: ShapeSeq, mem: ShapeSeq,
                  ks: Sequence[Kernel], tail: Kernel):
         ks = tuple(ks)
-        pad = max(len(x.prefix), len(out_seq.prefix), len(mem.prefix)) - len(ks)
-        self._fill(x, out_seq, mem, ks + (tail,) * pad, tail)
+        self._fill(x, out_seq, mem, len(ks))
+        ks = self._ks = ks + (tail,) * (self.n + 1 - len(ks))
         m = mem.at(0)
-        for t, k in enumerate(self.ks + (tail,)):
+        for t, k in enumerate(ks):
             m2 = mem.at(t + 1)
             want_in, want_out = m + x.at(t), m2 + out_seq.at(t)
             if k.in_shape != want_in or k.out_shape != want_out:
@@ -184,15 +194,32 @@ class Stream:
                     f"{k.out_shape!r}, expected {want_in!r} -> {want_out!r}")
             m = m2
 
-    def _fill(self, x, out_seq, mem, ks, tail):
-        self.x, self.out_seq, self.mem, self.ks, self.tail = \
-            x, out_seq, mem, ks, tail
+    def _fill(self, x, out_seq, mem, n, op=None, parts=()):
+        # the prefix covers at least n ticks and every shape prefix
+        self.x, self.out_seq, self.mem = x, out_seq, mem
+        self.n = max(n, len(x.prefix), len(out_seq.prefix), len(mem.prefix))
+        self._ks, self._op, self._parts, self._cell = None, op, parts, None
         m0 = mem.at(0)
         self.in_seq = x.glue0(m0) if m0 else x
-        self._cell = None
+
+    def _kernels(self) -> tuple:
+        """Tick kernels ``0..n``; a composite builds them on first use."""
+        if self._ks is None:
+            x, y, m = self.x, self.out_seq, self.mem
+            # the kernels lower a twin of this node, so that this node is
+            # not in a reference cycle and is freed as soon as it is unused
+            twin = _node(self._op, self._parts, x, y, m, self.n)
+            self._ks = tuple(
+                Kernel(m.at(t) + x.at(t), m.at(t + 1) + y.at(t), None,
+                       partial(_lower, twin, t))
+                for t in range(self.n + 1))
+        return self._ks
+
+    ks = property(lambda self: self._kernels()[:-1])
+    tail = property(lambda self: self._kernels()[-1])
 
     def kernel(self, t: int) -> Kernel:
-        return self.ks[t] if t < len(self.ks) else self.tail
+        return self._kernels()[min(t, self.n)]
 
     def unroll(self):
         """``(mem.at(1), kernel(0), later)``: the memory written at tick 0, the
@@ -200,10 +227,10 @@ class Stream:
         itself once the prefix is spent."""
         if self._cell is None:
             later = self
-            if self.ks:
-                later = Stream.__new__(Stream)
-                later._fill(self.x.drop(1), self.out_seq.drop(1),
-                            self.mem.drop(1), self.ks[1:], self.tail)
+            if self.n:
+                later = _node(None, (), self.x.drop(1), self.out_seq.drop(1),
+                              self.mem.drop(1), self.n - 1)
+                later._ks = self._kernels()[1:]
             self._cell = (self.mem.at(1), self.kernel(0), later)
         return self._cell
 
@@ -247,29 +274,34 @@ def swap_stream(sa: ShapeSeq, sb: ShapeSeq) -> Stream:
 # Composition
 # ---------------------------------------------------------------------------
 
-def _tick_kernels(f: Stream, g: Stream, build) -> tuple:
-    """The tick kernels of a composite of ``f`` and ``g``: ``build`` at each
-    tick of the longer prefix, then once for the two tails.
-
-    ``build(kf, kg, a, b, a2, b2)`` gets both tick kernels and the memory
-    widths they read (``a``, ``b``) and write (``a2``, ``b2``).
-    """
-    n = max(len(f.ks), len(g.ks))
-    a = [len(f.mem.at(t)) for t in range(n + 2)]
-    b = [len(g.mem.at(t)) for t in range(n + 2)]
-    ks = [build(f.kernel(t), g.kernel(t), a[t], b[t], a[t + 1], b[t + 1])
-          for t in range(n + 1)]
-    return tuple(ks[:n]), ks[n]
+def _node(op, parts, x: ShapeSeq, out_seq: ShapeSeq, mem: ShapeSeq,
+          n: int) -> Stream:
+    s = Stream.__new__(Stream)
+    s._fill(x, out_seq, mem, n, op, parts)
+    return s
 
 
-def _seq_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
-    # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through kf's output y
-    def lower(prog, ins):
-        ry = kf.lower(prog, ins[:la] + ins[la + lb:])
-        return ry[:la2] + kg.lower(prog, ins[la:la + lb] + ry[la2:])
-
-    return Kernel(kf.in_shape[:la] + kg.in_shape[:lb] + kf.in_shape[la:],
-                  kf.out_shape[:la2] + kg.out_shape, None, lower)
+def _lower(s: Stream, t: int, prog, ins: tuple) -> tuple:
+    """Append the tick-``t`` kernel of ``s`` to ``prog``, reading slots
+    ``ins``; returns its output slots. One frame per level of the tree."""
+    op = s._op
+    if op is None:
+        return s.kernel(t).lower(prog, ins)
+    if op is fbk:
+        return _lower(s._parts[0], t, prog, ins)
+    if op is delay:
+        return _lower(s._parts[0], t - 1, prog, ins) if t else ()
+    f, g = s._parts
+    la, lb, la2 = len(f.mem.at(t)), len(g.mem.at(t)), len(f.mem.at(t + 1))
+    if op is seq_comp:
+        # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through f's output y
+        ry = _lower(f, t, prog, ins[:la] + ins[la + lb:])
+        return ry[:la2] + _lower(g, t, prog, ins[la:la + lb] + ry[la2:])
+    # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
+    lx, lb2 = la + lb + len(f.x.at(t)), len(g.mem.at(t + 1))
+    r1 = _lower(f, t, prog, ins[:la] + ins[la + lb:lx])
+    r2 = _lower(g, t, prog, ins[la:la + lb] + ins[lx:])
+    return r1[:la2] + r2[:lb2] + r1[la2:] + r2[lb2:]
 
 
 def seq_comp(f: Stream, g: Stream) -> Stream:
@@ -277,45 +309,29 @@ def seq_comp(f: Stream, g: Stream) -> Stream:
     if g.x != f.out_seq:
         raise ShapeMismatch(
             f"sequential composition: {f.out_seq!r} feeds {g.x!r}")
-    ks, tail = _tick_kernels(f, g, _seq_kernel)
-    return Stream(f.x, g.out_seq, f.mem.tensor(g.mem), ks, tail)
-
-
-def _par_kernel(kf: Kernel, kg: Kernel, la, lb, la2, lb2) -> Kernel:
-    # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
-    lx = len(kf.in_shape) - la
-
-    def lower(prog, ins):
-        r1 = kf.lower(prog, ins[:la] + ins[la + lb:la + lb + lx])
-        r2 = kg.lower(prog, ins[la:la + lb] + ins[la + lb + lx:])
-        return r1[:la2] + r2[:lb2] + r1[la2:] + r2[lb2:]
-
-    return Kernel(kf.in_shape[:la] + kg.in_shape[:lb]
-                  + kf.in_shape[la:] + kg.in_shape[lb:],
-                  kf.out_shape[:la2] + kg.out_shape[:lb2]
-                  + kf.out_shape[la2:] + kg.out_shape[lb2:], None, lower)
+    return _node(seq_comp, (f, g), f.x, g.out_seq, f.mem.tensor(g.mem),
+                 max(f.n, g.n))
 
 
 def par_comp(f: Stream, g: Stream) -> Stream:
     """Run ``f`` and ``g`` side by side on concatenated wires."""
-    ks, tail = _tick_kernels(f, g, _par_kernel)
-    return Stream(f.x.tensor(g.x), f.out_seq.tensor(g.out_seq),
-                  f.mem.tensor(g.mem), ks, tail)
+    return _node(par_comp, (f, g), f.x.tensor(g.x),
+                 f.out_seq.tensor(g.out_seq), f.mem.tensor(g.mem),
+                 max(f.n, g.n))
 
 
 def delay(f: Stream) -> Stream:
     """Shift ``f`` one tick into the future; tick 0 carries no wires."""
-    return Stream(f.x.cons(unit_shape), f.out_seq.cons(unit_shape),
-                  f.mem.cons(unit_shape),
-                  (identity_kernel(unit_shape),) + f.ks, f.tail)
+    return _node(delay, (f,), f.x.cons(unit_shape),
+                 f.out_seq.cons(unit_shape), f.mem.cons(unit_shape), f.n + 1)
 
 
 def fbk(f: Stream, s) -> Stream:
     """Close a feedback loop over the bundle sequence ``s``.
 
     ``f`` must output the block ``s.at(t)`` in front at tick t and expect the
-    block ``s.at(t-1)`` in front at tick t+1 (nothing at tick 0). The
-    kernels stay as they are: the loop moves that block into memory.
+    block ``s.at(t-1)`` in front at tick t+1 (nothing at tick 0). The body
+    lowers unchanged: the loop moves that block into memory.
     """
     if not isinstance(s, ShapeSeq):
         s = ShapeSeq.constant(s)
@@ -329,7 +345,7 @@ def fbk(f: Stream, s) -> Stream:
         [_strip_front(f.out_seq.at(t), s.at(t), f"feedback output, tick {t}")
          for t in range(n)],
         _strip_front(f.out_seq.tail, s.tail, "feedback output tail"))
-    return Stream(x, out_seq, f.mem.tensor(fed), f.ks, f.tail)
+    return _node(fbk, (f,), x, out_seq, f.mem.tensor(fed), f.n)
 
 
 # ---------------------------------------------------------------------------

@@ -463,14 +463,80 @@ def test_main_lifts_the_digit_limit_only_while_it_runs(tmp_path, capsys):
     assert limit() == before
 
 
-@pytest.mark.parametrize("cmd, terms", [("run", 300), ("run", 1200),
-                                        ("check", 300)])
-def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
+def deep_program(tmp_path, terms):
+    """``main = 1 + 1 + ... + 1``: ``terms`` nested additions."""
     src = tmp_path / "deep.ms"
     src.write_text("main = " + " + ".join(["1"] * terms) + "\n")
-    argv = [cmd, str(src)] + ([str(src)] if cmd == "check" else [])
+    return str(src)
+
+
+def test_400_term_chain_runs(tmp_path):
+    src = deep_program(tmp_path, 400)
+    p = mstream_proc("run", src, "--steps", "1")
+    assert (p.returncode, p.stderr) == (0, ""), p.stderr
+    assert out_values(p.stdout) == [400, 400]
+    p = mstream_proc("exact", src, "--steps", "1")
+    assert (p.returncode, p.stderr) == (0, ""), p.stderr
+    assert [json.loads(line)["dist"] for line in p.stdout.splitlines()] \
+        == [{"400": "1/1"}] * 2
+    p = mstream_proc("check", src, src, "--horizon", "1")
+    assert (p.returncode, p.stderr) == (0, ""), p.stderr
+    assert json.loads(p.stdout) == {"equal": True, "horizon": 1}
+
+
+@pytest.mark.parametrize("cmd, terms", [("run", 1200), ("check", 1200)])
+def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
+    src = deep_program(tmp_path, terms)
+    argv = [cmd, src] + ([src] if cmd == "check" else [])
     p = mstream_proc(*argv)
     assert p.returncode == 3
     assert p.stdout == ""
     assert p.stderr.startswith("mstream: the program is nested too deeply")
     assert "Traceback" not in p.stderr
+
+
+def bad_files(tmp_path):
+    """(argv, path) for each file the CLI must refuse with exit 2: a missing
+    inputs file, a directory, and an inputs file and a program that are not
+    UTF-8."""
+    bad_inputs = tmp_path / "bad.jsonl"
+    bad_inputs.write_bytes(b"[1]\n\xff\n")
+    bad_ms = tmp_path / "bad.ms"
+    bad_ms.write_bytes(b"main = 1\xff\n")
+    missing = str(tmp_path / "missing.jsonl")
+    return [(["run", RUNNING_SUM, "--inputs", missing], missing),
+            (["run", RUNNING_SUM, "--inputs", str(tmp_path)], str(tmp_path)),
+            (["run", RUNNING_SUM, "--inputs", str(bad_inputs)],
+             str(bad_inputs)),
+            (["check", str(bad_ms), str(bad_ms)], str(bad_ms))]
+
+
+def test_unreadable_files_exit_2(tmp_path):
+    for argv, path in bad_files(tmp_path):
+        p = mstream_proc(*argv)
+        assert p.returncode == 2, argv
+        assert p.stdout == ""
+        assert p.stderr.startswith(
+            f"mstream: syntax error: 0:0: cannot read {path}: "), p.stderr
+        assert len(p.stderr.splitlines()) == 1 and "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_state_cap_variable_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("MSTREAM_STATE_CAP", value)
+    for cmd in (["exact", EHRENFEST], ["check", WALK, WALK]):
+        code, out, err = cli(capsys, *cmd)
+        assert code == 2 and out == ""
+        assert err == ("mstream: MSTREAM_STATE_CAP must be a positive "
+                       f"integer, got {value!r}\n")
+    # the option overrides the variable
+    code, _, err = cli(capsys, "exact", EHRENFEST, "--state-cap", "100")
+    assert code == 0, err
+
+
+def test_small_state_cap_variable_exits_5(monkeypatch, capsys):
+    monkeypatch.setenv("MSTREAM_STATE_CAP", "2")
+    code, out, err = cli(capsys, "exact", EHRENFEST, "--steps", "4")
+    assert code == 5 and out == ""
+    assert err == ("mstream: joint support reached 4 entries (cap 2) "
+                   "at tick 0\n")

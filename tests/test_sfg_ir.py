@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 from mstream.errors import ParseError, TermTypeError
-from mstream.kernel import BOOL, INT, Dist, FinSet, IntRange, marginalize
+from mstream.kernel import (
+    BOOL,
+    INT,
+    Dist,
+    FinSet,
+    IntRange,
+    Kernel,
+    marginalize,
+)
 from mstream.lang import elaborate, parse
 from mstream.sfg_ir import (
     Const,
@@ -270,6 +278,26 @@ def test_ehrenfest_ir_stays_small():
     assert _sym_count(t) <= 15
     fib = elaborate(parse((programs / "fib.ms").read_text()))
     assert node_count(fib) <= 30
+
+
+@pytest.mark.parametrize("name, most", [("ehrenfest", 200), ("fib", 30)])
+def test_compile_builds_few_kernels(monkeypatch, name, most):
+    """Composition records its parts and builds no kernel: compiling a
+    program and unrolling its first tick builds the leaves' kernels and one
+    kernel per tick of the root's prefix, not one per tick of every
+    composite node."""
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    t = elaborate(parse((programs / f"{name}.ms").read_text()))
+    built = []
+    init = Kernel.__init__
+
+    def counting(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(Kernel, "__init__", counting)
+    compile_term(t, SIG).unroll()
+    assert len(built) <= most, len(built)
 
 
 def test_is_stochastic():
