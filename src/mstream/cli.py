@@ -380,7 +380,8 @@ def _main(argv) -> int:
         return 3
     except RecursionError:
         # parsing, elaboration, type checking and tick lowering recurse
-        # once per nesting level; type checking gives out first
+        # once per nesting level; the parser gives out first on
+        # parentheses, type checking on a flat chain
         print("mstream: the program is nested too deeply (Python's "
               "recursion limit was reached)", file=sys.stderr)
         return 3

@@ -463,10 +463,16 @@ def test_main_lifts_the_digit_limit_only_while_it_runs(tmp_path, capsys):
     assert limit() == before
 
 
-def deep_program(tmp_path, terms):
-    """``main = 1 + 1 + ... + 1``: ``terms`` nested additions."""
+def deep_program(tmp_path, terms, parenthesised=False):
+    """``main = 1 + 1 + ... + 1``: ``terms`` nested additions, or with
+    ``parenthesised`` ``1 + (1 + (... + 1))``, where the parser also
+    recurses once per term."""
     src = tmp_path / "deep.ms"
-    src.write_text("main = " + " + ".join(["1"] * terms) + "\n")
+    if parenthesised:
+        body = " + ".join(["(1"] * terms) + ")" * terms
+    else:
+        body = " + ".join(["1"] * terms)
+    src.write_text(f"main = {body}\n")
     return str(src)
 
 
@@ -484,9 +490,12 @@ def test_400_term_chain_runs(tmp_path):
     assert json.loads(p.stdout) == {"equal": True, "horizon": 1}
 
 
-@pytest.mark.parametrize("cmd, terms", [("run", 1200), ("check", 1200)])
+# 300 parenthesised terms are too deep for the parser; a flat chain of 1200
+# is too deep for type inference
+@pytest.mark.parametrize("cmd, terms", [("run", 300), ("run", 1200),
+                                        ("check", 300), ("check", 1200)])
 def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
-    src = deep_program(tmp_path, terms)
+    src = deep_program(tmp_path, terms, parenthesised=terms == 300)
     argv = [cmd, src] + ([src] if cmd == "check" else [])
     p = mstream_proc(*argv)
     assert p.returncode == 3
