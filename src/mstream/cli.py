@@ -6,8 +6,8 @@ distributions.  All output is computed in full before anything is printed, so
 a failure never leaves partial JSON behind.
 
 Exit codes: 0 success; 1 check found a difference; 2 syntax errors; 3
-causality or type errors (including malformed inputs, and programs nested too
-deeply to process); 4 a stochastic program under the deterministic backend; 5
+causality or type errors (including malformed inputs, and brackets nested too
+deeply to parse); 4 a stochastic program under the deterministic backend; 5
 state-cap exceeded.
 """
 
@@ -294,9 +294,6 @@ def _common(sub, inputs=True):
                      help="last tick; ticks 0..N are produced (default 9)")
     sub.add_argument("--format", dest="fmt", default="json",
                      choices=("json", "csv", "plain"))
-    sub.add_argument("--state-cap", type=_positive, default=None,
-                     help="abort exact enumeration beyond this many states "
-                     "(default: MSTREAM_STATE_CAP or 10^6)")
     if inputs:
         sub.add_argument("--inputs", default=None,
                          help="JSON-lines file, one array of values per "
@@ -322,6 +319,9 @@ def build_parser():
 
     ex = sp.add_parser("exact", help="exact per-tick output distributions")
     _common(ex, inputs=False)
+    ex.add_argument("--state-cap", type=_positive, default=None,
+                    help="abort exact enumeration beyond this many states "
+                    "(default: MSTREAM_STATE_CAP or 10^6)")
     ex.add_argument("--joint", action="store_true",
                     help="also emit the joint distribution over all ticks")
 
@@ -379,9 +379,9 @@ def _main(argv) -> int:
         print(f"mstream: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # parsing, elaboration, type checking and tick lowering recurse
-        # once per nesting level; the parser gives out first on
-        # parentheses, type checking on a flat chain
+        # only the parsers' bracket rules recurse, once per level of
+        # parentheses in a program or of brackets in a term literal; no
+        # pass recurses on the length of a program
         print("mstream: the program is nested too deeply (Python's "
               "recursion limit was reached)", file=sys.stderr)
         return 3

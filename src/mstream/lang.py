@@ -14,7 +14,9 @@ one ``Fbk`` whose fed-back wires cancel one syntactic delay per recursive use.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from .errors import CausalityError, ElaborationError, ParseError, TermTypeError
@@ -163,6 +165,7 @@ class _Parser(_TokenParser):
 
     def program(self):
         inputs, defs = [], []
+        self.names = []  # every name used, in source order
         self.skip_nl()
         while self.peek().kind != "eof":
             t = self.peek()
@@ -192,25 +195,10 @@ class _Parser(_TokenParser):
 
     def _resolve(self, prog):
         known = {d.name for d in prog.defs} | {i.name for i in prog.inputs}
-
-        def walk(e):
-            if isinstance(e, Ident):
-                if e.name not in known:
-                    raise ParseError(f"undefined name {e.name!r}",
-                                     e.pos[0], e.pos[1])
-            elif isinstance(e, (Neg, Paren)):
-                walk(e.expr)
-            elif isinstance(e, WaitCall):
-                walk(e.expr)
-            elif isinstance(e, BinOp):
-                walk(e.lhs)
-                walk(e.rhs)
-            elif isinstance(e, TupleExpr):
-                for item in e.items:
-                    walk(item)
-
-        for d in prog.defs:
-            walk(d.expr)
+        for e in self.names:
+            if e.name not in known:
+                raise ParseError(f"undefined name {e.name!r}",
+                                 e.pos[0], e.pos[1])
 
     def input_decl(self):
         kw = self.next()
@@ -237,16 +225,15 @@ class _Parser(_TokenParser):
     # -- expressions --------------------------------------------------------
 
     def expr(self):
-        return self.fby_expr()
-
-    def fby_expr(self):
-        lhs = self.add_expr()
-        t = self.peek()
-        if t.kind == "name" and t.text == "fby":
-            self.next()
-            rhs = self.fby_expr()
-            return BinOp("fby", lhs, rhs, (t.line, t.col))
-        return lhs
+        """``a fby b fby c`` is ``a fby (b fby c)``."""
+        es, fbys = [self.add_expr()], []
+        while self.peek().kind == "name" and self.peek().text == "fby":
+            fbys.append(self.next())
+            es.append(self.add_expr())
+        e = es.pop()
+        for t in reversed(fbys):
+            e = BinOp("fby", es.pop(), e, (t.line, t.col))
+        return e
 
     def add_expr(self):
         e = self.mul_expr()
@@ -269,11 +256,13 @@ class _Parser(_TokenParser):
                 return e
 
     def unary(self):
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return Neg(self.unary(), (t.line, t.col))
-        return self.atom()
+        minus = []
+        while self.at_op("-"):
+            minus.append(self.next())
+        e = self.atom()
+        for t in reversed(minus):
+            e = Neg(e, (t.line, t.col))
+        return e
 
     def atom(self):
         t = self.peek()
@@ -302,7 +291,8 @@ class _Parser(_TokenParser):
             if t.text in _KEYWORDS:
                 self.fail(f"{t.text!r} cannot appear here")
             self.next()
-            return Ident(t.text, (t.line, t.col))
+            self.names.append(Ident(t.text, (t.line, t.col)))
+            return self.names[-1]
         self.fail("expected an expression")
 
     def unif_args(self, pos):
@@ -338,45 +328,87 @@ def parse(src: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
+# The walk and fold every pass over an expression runs on
+# ---------------------------------------------------------------------------
+
+def _walk(e, d=0, later=None) -> list:
+    """``(node, demand, number of children)`` for every node of ``e`` at
+    demand ``d``, parents and right subtrees first; ``wait(x)`` reads x a
+    tick earlier, ``a fby b`` reads b one later or at ``later(node, d)``."""
+    out, todo = [], [(e, d)]
+    while todo:
+        x, d = todo.pop()
+        kind = type(x)
+        if kind is BinOp:
+            out.append((x, d, 2))
+            todo.append((x.lhs, d))
+            r = d if x.op != "fby" else d + 1 if later is None else later(x, d)
+            todo.append((x.rhs, r))
+        elif kind is Neg or kind is Paren or kind is WaitCall:
+            out.append((x, d, 1))
+            todo.append((x.expr, d - (kind is WaitCall)))
+        elif kind is TupleExpr:
+            out.append((x, d, len(x.items)))
+            todo += [(item, d) for item in x.items]
+        else:
+            out.append((x, d, 0))
+    return out
+
+
+def _fold(nodes, f):
+    """``f(node, demand, *values of its children)`` at every node of the walk
+    ``nodes``, children first and left to right; returns the root's value."""
+    vals = []
+    for x, d, k in reversed(nodes):
+        if k:
+            vals[-k:] = [f(x, d, *vals[-k:])]
+        else:
+            vals.append(f(x, d))
+    return vals[0]
+
+
+# ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------
 
 _LEVEL = {"fby": 0, "+": 1, "-": 1, "*": 2}
 
 
-def _pe(e, ctx):
+def _pe(e, d, *kids):
+    """``(text, level)`` of ``e`` whose operands print as ``kids``; an
+    operand is bracketed when its level is below the one its slot needs."""
+    def slot(kid, ctx):
+        return "(" + kid[0] + ")" if kid[1] < ctx else kid[0]
+
     if isinstance(e, IntLit):
-        return str(e.value)
+        return str(e.value), 4
     if isinstance(e, Ident):
-        return e.name
+        return e.name, 4
     if isinstance(e, Neg):
-        s, lvl = "-" + _pe(e.expr, 4), 3
-    elif isinstance(e, BinOp):
+        return "-" + slot(kids[0], 4), 3
+    if isinstance(e, BinOp):
         lvl = _LEVEL[e.op]
         if e.op == "fby":
-            s = _pe(e.lhs, 1) + " fby " + _pe(e.rhs, 0)
-        else:
-            s = _pe(e.lhs, lvl) + f" {e.op} " + _pe(e.rhs, lvl + 1)
-    elif isinstance(e, WaitCall):
-        return "wait(" + _pe(e.expr, 0) + ")"
-    elif isinstance(e, UnifCall):
+            return slot(kids[0], 1) + " fby " + kids[1][0], lvl
+        return slot(kids[0], lvl) + f" {e.op} " + slot(kids[1], lvl + 1), lvl
+    if isinstance(e, WaitCall):
+        return "wait(" + kids[0][0] + ")", 4
+    if isinstance(e, UnifCall):
         inner = ", ".join(str(v) for v in e.args)
         if e.form == "set":
-            return "unif{" + inner + "}"
+            return "unif{" + inner + "}", 4
         if e.form == "range":
-            return f"unif({e.args[0]}..{e.args[1]})"
-        return "unif(" + inner + ")"
-    elif isinstance(e, TupleExpr):
-        return "(" + ", ".join(_pe(x, 0) for x in e.items) + ")"
-    elif isinstance(e, Paren):
-        return "(" + _pe(e.expr, 0) + ")"
-    else:
-        raise ElaborationError(f"unknown expression node {e!r}")
-    return "(" + s + ")" if lvl < ctx else s
+            return f"unif({e.args[0]}..{e.args[1]})", 4
+        return "unif(" + inner + ")", 4
+    if isinstance(e, TupleExpr):
+        return "(" + ", ".join(s for s, _ in kids) + ")", 4
+    if isinstance(e, Paren):
+        return "(" + kids[0][0] + ")", 4
+    raise ElaborationError(f"unknown expression node {e!r}")
 
 
 def pretty_expr(e: Expr) -> str:
-    return _pe(e, 0)
+    return _fold(_walk(e), _pe)[0]
 
 
 def _wire_str(w: WireType) -> str:
@@ -418,66 +450,44 @@ class Analysis:
     widths: dict = field(compare=False)
 
 
-def _collect(defn: Definition):
-    occs = []
-
-    def walk(e, d):
-        if isinstance(e, Ident):
-            occs.append(Occurrence(defn.name, e.name, d, e.pos))
-        elif isinstance(e, (Neg, Paren)):
-            walk(e.expr, d)
-        elif isinstance(e, WaitCall):
-            if d == 0:
-                raise CausalityError(
-                    f"wait(...) at line {e.pos[0]}, column {e.pos[1]} needs "
-                    "an enclosing delay: its result has no value at the "
-                    "first tick")
-            walk(e.expr, d - 1)
-        elif isinstance(e, BinOp):
-            if e.op == "fby":
-                walk(e.lhs, d)
-                walk(e.rhs, d + 1)
-            else:
-                walk(e.lhs, d)
-                walk(e.rhs, d)
-        elif isinstance(e, TupleExpr):
-            for item in e.items:
-                walk(item, d)
-
-    walk(defn.expr, 0)
-    return occs
+def _collect(defn: Definition, nodes):
+    late = [e.pos for e, d, _ in nodes if isinstance(e, WaitCall) and d == 0]
+    if late:
+        line, col = min(late)  # the first in the source
+        raise CausalityError(
+            f"wait(...) at line {line}, column {col} needs an enclosing "
+            "delay: its result has no value at the first tick")
+    return [Occurrence(defn.name, e.name, d, e.pos)  # in source order
+            for e, d, _ in reversed(nodes) if isinstance(e, Ident)]
 
 
 def _tarjan(nodes, succ):
-    index, low, on = {}, {}, set()
-    stack, out = [], []
-    counter = [0]
-
-    def strong(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on.add(v)
-        for w in succ(v):
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in on:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on.discard(w)
-                comp.append(w)
-                if w == v:
+    """Strongly connected components, dependencies first; no recursion."""
+    index, low, on, stack, out = {}, {}, set(), [], []
+    for root in nodes:
+        work = [] if root in index else [(root, None)]
+        while work:
+            v, it = work.pop()
+            if it is None:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on.add(v)
+                it = iter(succ(v))
+            for w in it:
+                if w not in index:
+                    work += [(v, it), (w, None)]
                     break
-            out.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            strong(v)
-    return out  # dependencies before dependents
+                if w in on:
+                    low[v] = min(low[v], index[w])
+            else:
+                if work:  # v is done, and its caller reaches what v reaches
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    i = stack.index(v)
+                    out.append(stack[i:])
+                    on.difference_update(stack[i:])
+                    del stack[i:]
+    return out
 
 
 def _zero_delay_order(members, zero_edges, occs):
@@ -506,47 +516,49 @@ def _zero_delay_order(members, zero_edges, occs):
     return tuple(order)
 
 
-def _expr_bases(e, bases, defn):
+def _expr_bases(nodes, bases, defn):
     """The base of each wire of ``e``; operands of ``+ - *`` and unary minus
     must be single int streams, and both sides of ``fby`` must agree."""
-    if isinstance(e, (IntLit, UnifCall)):
-        return (INT,)
-    if isinstance(e, Ident):
-        return bases[e.name]
-    if isinstance(e, (Paren, WaitCall)):
-        return _expr_bases(e.expr, bases, defn)
-    if isinstance(e, Neg):
-        b = _expr_bases(e.expr, bases, defn)
-        if len(b) != 1:
+    def based(e, d, *kids):
+        if isinstance(e, (IntLit, UnifCall)):
+            return (INT,)
+        if isinstance(e, Ident):
+            return bases[e.name]
+        if isinstance(e, (Paren, WaitCall)):
+            return kids[0]
+        if isinstance(e, Neg):
+            b, = kids
+            if len(b) != 1:
+                raise TermTypeError(f"operand of unary minus in {defn!r} is "
+                                    "not a single stream")
+            if b != (INT,):
+                raise TermTypeError(
+                    f"operand of unary minus in {defn!r} must be an int "
+                    f"stream, not {b[0]!r}")
+            return b
+        if isinstance(e, TupleExpr):
+            return tuple(b for bs in kids for b in bs)
+        lb, rb = kids
+        if e.op == "fby":
+            if len(lb) != len(rb):
+                raise TermTypeError(
+                    f"fby in {defn!r} combines streams of width {len(lb)} "
+                    f"and {len(rb)}")
+            if lb != rb:
+                raise TermTypeError(
+                    f"fby in {defn!r} combines {_bases_str(lb)} and "
+                    f"{_bases_str(rb)} streams")
+            return lb
+        if len(lb) != 1 or len(rb) != 1:
             raise TermTypeError(
-                f"operand of unary minus in {defn!r} is not a single stream")
-        if b != (INT,):
+                f"operands of {e.op!r} in {defn!r} must be single streams")
+        if lb + rb != (INT, INT):
             raise TermTypeError(
-                f"operand of unary minus in {defn!r} must be an int stream, "
-                f"not {b[0]!r}")
-        return b
-    if isinstance(e, TupleExpr):
-        return tuple(b for x in e.items for b in _expr_bases(x, bases, defn))
-    lb = _expr_bases(e.lhs, bases, defn)
-    rb = _expr_bases(e.rhs, bases, defn)
-    if e.op == "fby":
-        if len(lb) != len(rb):
-            raise TermTypeError(
-                f"fby in {defn!r} combines streams of width {len(lb)} and "
-                f"{len(rb)}")
-        if lb != rb:
-            raise TermTypeError(
-                f"fby in {defn!r} combines {_bases_str(lb)} and "
-                f"{_bases_str(rb)} streams")
+                f"operands of {e.op!r} in {defn!r} must be int streams, not "
+                f"{lb[0]!r} and {rb[0]!r}")
         return lb
-    if len(lb) != 1 or len(rb) != 1:
-        raise TermTypeError(
-            f"operands of {e.op!r} in {defn!r} must be single streams")
-    if lb + rb != (INT, INT):
-        raise TermTypeError(
-            f"operands of {e.op!r} in {defn!r} must be int streams, not "
-            f"{lb[0]!r} and {rb[0]!r}")
-    return lb
+
+    return _fold(nodes, based)
 
 
 def _bases_str(bases):
@@ -564,9 +576,8 @@ def check_causality(p: Program) -> Analysis:
     and :class:`TermTypeError`, naming the definition, when widths or bases
     do not fit.
     """
-    occs = []
-    for d in p.defs:
-        occs.extend(_collect(d))
+    walks = {d.name: _walk(d.expr) for d in p.defs}
+    occs = [o for d in p.defs for o in _collect(d, walks[d.name])]
     inputs = {i.name: i for i in p.inputs}
     for o in occs:
         if o.name in inputs and o.demand < inputs[o.name].wire.delay:
@@ -601,7 +612,7 @@ def check_causality(p: Program) -> Analysis:
         for n in comp:
             bases[n] = (INT,)
         for n in comp:
-            b = _expr_bases(p.definition(n).expr, bases, n)
+            b = _expr_bases(walks[n], bases, n)
             if n in recursive:
                 if len(b) != 1:
                     raise TermTypeError(
@@ -639,22 +650,27 @@ def _gather(env, picks):
     n − 1 times, an unpicked one is discarded, and one permutation puts the
     copies in the order of ``picks``.
     """
-    parts, outs, copies = [], (), {}
+    counts = Counter(key for key, _ in picks)
+    parts, ids, outs, copies = [], [], [], {}
     for key, ws in env:
-        n = picks.count((key, ws))
-        part = Discard(ws) if n == 0 else Id(ws)
-        for c in range(1, n):
-            part = _seq(part, _beside(Copy(ws), ws * (c - 1)))
-        if isinstance(part, Id) and parts and isinstance(parts[-1], Id):
-            parts[-1] = Id(parts[-1].ws + ws)
+        n = counts[key]
+        if n == 1:
+            ids += ws
         else:
+            if ids:
+                parts.append(Id(tuple(ids)))
+                ids = []
+            part = Discard(ws) if n == 0 else Id(ws)
+            for c in range(1, n):
+                part = _seq(part, _beside(Copy(ws), ws * (c - 1)))
             parts.append(part)
-        at, k = len(outs), len(ws)
-        copies[key] = [range(at + i * k, at + (i + 1) * k) for i in range(n)]
+        copies[key] = iter(range(len(outs), len(outs) + n * len(ws)))
         outs += ws * n
-    perm = [j for key, _ in picks for j in copies[key].pop(0)]
+    if ids:
+        parts.append(Id(tuple(ids)))
+    perm = [next(copies[key]) for key, ws in picks for _ in ws]
     layer = par(*parts) if parts else Id(())
-    return _seq(layer, perm_term(outs, perm))
+    return _seq(layer, perm_term(tuple(outs), perm))
 
 
 class _Elab:
@@ -672,16 +688,26 @@ class _Elab:
             {i.name: i.wire.delay for i in self.p.inputs})
         self.wires = {(i.name, False): (i.wire,) for i in self.p.inputs}
 
-    def term(self, e, d, scc):
+    def node(self, scc, e, d, *kids):
         """``(t, uses, outs)``: ``t`` maps the env blocks ``uses``, in order,
-        to the wires ``outs`` of ``e`` at demand ``d``."""
-        if isinstance(e, Paren):
-            return self.term(e.expr, d, scc)
+        to the wires ``outs`` of ``e`` at demand ``d``, given its operands'."""
+        if isinstance(e, BinOp):
+            (ta, ua, oa), (tb, ub, ob) = kids
+            if e.op != "fby":
+                return (seq(par(ta, tb), Gen(_OPS[e.op], d)), ua + ub,
+                        (WireType(INT, d),))
+            # Every value sits at its demand, so the second slot is a tick
+            # late exactly when _delayed raised its demand: an fby box then
+            # takes it as is (for a recursive use, the fed-back wire), and
+            # otherwise a register delays the same-tick value internally.
+            # The two encodings agree observationally.
+            k = len(oa)
+            pairs = perm_term(oa + ob, [j for i in range(k) for j in (i, k + i)])
+            box = Register if oa == ob else FbyBox
+            return (_seq(par(ta, tb), pairs, par(*(box(w) for w in oa))),
+                    ua + ub, oa)
         if isinstance(e, IntLit):
             return Const(e.value, INT, d), [], (WireType(INT, d),)
-        if isinstance(e, UnifCall):
-            return (Gen("unif", d, args=e.values()), [],
-                    (WireType(INT, d),))
         if isinstance(e, Ident):
             # a recursive use after a delay reads the fed-back block (delay 1)
             key = (e.name, e.name in scc and d >= 1)
@@ -691,80 +717,39 @@ class _Elab:
                 t = _seq(t, par(*(Wait(w) for w in outs)))
                 outs = shift_wires(outs)
             return t, [(key, ws)], outs
+        if isinstance(e, Paren):
+            return kids[0]
+        if isinstance(e, UnifCall):
+            return (Gen("unif", d, args=e.values()), [],
+                    (WireType(INT, d),))
         if isinstance(e, Neg):
-            t, uses, _ = self.term(e.expr, d, scc)
+            t, uses, _ = kids[0]
             return _seq(t, Gen("neg", d)), uses, (WireType(INT, d),)
         if isinstance(e, WaitCall):
-            t, uses, outs = self.term(e.expr, d - 1, scc)
+            t, uses, outs = kids[0]
             return (_seq(t, par(*(Wait(w) for w in outs))), uses,
                     shift_wires(outs))
         if isinstance(e, TupleExpr):
-            items = [self.term(x, d, scc) for x in e.items]
-            return (par(*(t for t, _, _ in items)),
-                    [u for _, uses, _ in items for u in uses],
-                    tuple(w for _, _, outs in items for w in outs))
-        if isinstance(e, BinOp) and e.op == "fby":
-            return self.fby(e, d, scc)
-        if isinstance(e, BinOp):
-            tl, ul, _ = self.term(e.lhs, d, scc)
-            tr, ur, _ = self.term(e.rhs, d, scc)
-            return (seq(par(tl, tr), Gen(_OPS[e.op], d)), ul + ur,
-                    (WireType(INT, d),))
+            return (par(*(t for t, _, _ in kids)),
+                    [u for _, uses, _ in kids for u in uses],
+                    tuple(w for _, _, outs in kids for w in outs))
         raise ElaborationError(f"unknown expression node {e!r}")
 
-    def fby(self, e, d, scc):
-        ta, ua, outs = self.term(e.lhs, d, scc)
-        # A recursive delayed slot cancels against the fed-back wire (read
-        # one tick later); likewise when the slot cannot be produced this
-        # early.  Otherwise a register delays the same-tick value internally;
-        # the two encodings agree observationally.
-        delayed = self._mentions(e.rhs, scc) or not self._demandable(e.rhs, d)
-        tb, ub, ob = self.term(e.rhs, d + 1 if delayed else d, scc)
-        k = len(outs)
-        pairs = perm_term(outs + ob, [j for i in range(k) for j in (i, k + i)])
-        box = FbyBox if delayed else Register
-        return (_seq(par(ta, tb), pairs, par(*(box(w) for w in outs))),
-                ua + ub, outs)
-
-    def _demandable(self, e, d):
-        """Can every leaf of ``e`` deliver a value at demand ``d``?"""
-        if d < 0:
-            return False
-        if isinstance(e, Ident):
-            return d >= self.delays[e.name]
-        if isinstance(e, (Neg, Paren)):
-            return self._demandable(e.expr, d)
-        if isinstance(e, WaitCall):
-            return self._demandable(e.expr, d - 1)
-        if isinstance(e, BinOp):
-            if e.op == "fby":
-                return self._demandable(e.lhs, d) and \
-                    (self._demandable(e.rhs, d)
-                     or self._demandable(e.rhs, d + 1))
-            return self._demandable(e.lhs, d) \
-                and self._demandable(e.rhs, d)
-        if isinstance(e, TupleExpr):
-            return all(self._demandable(x, d) for x in e.items)
-        return True  # literals and unif
-
-    def _mentions(self, e, names):
-        if isinstance(e, Ident):
-            return e.name in names
-        if isinstance(e, (Neg, Paren, WaitCall)):
-            return self._mentions(e.expr, names)
-        if isinstance(e, BinOp):
-            return self._mentions(e.lhs, names) \
-                or self._mentions(e.rhs, names)
-        if isinstance(e, TupleExpr):
-            return any(self._mentions(x, names) for x in e.items)
-        return False
+    def _delayed(self, e, d, scc):
+        """Whether the second slot ``e`` of an fby at demand ``d`` is read a
+        tick later: when it uses ``scc``, or some leaf has no value at d."""
+        return any(k < 0 or isinstance(x, Ident)
+                   and (x.name in scc or k < self.delays[x.name])
+                   for x, k, _ in _walk(e, d))
 
     # definitions -----------------------------------------------------------
 
     def define(self, name, scc, env):
         """One step from ``env`` to the wires of ``name`` followed by ``env``,
         and the env after it."""
-        t, uses, outs = self.term(self.p.definition(name).expr, 0, scc)
+        nodes = _walk(self.p.definition(name).expr, 0,
+                      lambda x, d: d + self._delayed(x.rhs, d, scc))
+        t, uses, outs = _fold(nodes, partial(self.node, scc))
         self.wires[name, False] = outs
         rest = tuple(w for _, ws in env for w in ws)
         step = _seq(_gather(env, uses + env), _beside(t, rest))

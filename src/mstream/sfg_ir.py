@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import ParseError, ShapeMismatch, TermTypeError
@@ -284,66 +285,108 @@ def par(*ts: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# The fold every pass over a term runs on
+# ---------------------------------------------------------------------------
+
+def fold(t: Term, f: Callable):
+    """``f(node, *values of its children)`` at every node of ``t``, children
+    first and left to right, on explicit stacks: no call recurses."""
+    order, todo = [], [t]  # each node before its descendants, right first
+    while todo:
+        u = todo.pop()
+        order.append(u)
+        kind = type(u)
+        if kind is Seq or kind is Par:
+            todo.append(u.fst)
+            todo.append(u.snd)
+        elif kind is Fbk or kind is DelayTerm:
+            todo.append(u.body)
+    vals = []
+    for u in reversed(order):
+        kind = type(u)
+        if kind is Seq or kind is Par:
+            b = vals.pop()
+            vals[-1] = f(u, vals[-1], b)
+        elif kind is Fbk or kind is DelayTerm:
+            vals[-1] = f(u, vals[-1])
+        else:
+            vals.append(f(u))
+    return vals[0]
+
+
+def _path(t: Term, node: Term) -> tuple:
+    """The path from ``t`` down to the first occurrence of ``node``."""
+    def find(u, *kids):  # the steps up from ``node`` to ``u``, or None
+        if u is node:
+            return []
+        for i, p in enumerate(kids):
+            if p is not None:
+                p += (i,) * (len(kids) == 2) + (_KEYWORDS[type(u)],)
+                return p
+    return tuple(reversed(fold(t, find)))
+
+
+# ---------------------------------------------------------------------------
 # Typechecking
 # ---------------------------------------------------------------------------
 
-def infer_type(t: Term, sig: Signature, _path: tuple = ()) -> Tuple[Wires, Wires]:
+#: The input and output wires of each wiring leaf.
+_WIRING_TYPES = {
+    Id: lambda u: (u.ws, u.ws),
+    Sym: lambda u: (u.a + u.b, u.b + u.a),
+    Copy: lambda u: (u.ws, u.ws + u.ws),
+    Discard: lambda u: (u.ws, ()),
+    FbyBox: lambda u: ((u.w, u.w.shifted()), (u.w,)),
+    Wait: lambda u: ((u.w,), (u.w.shifted(),)),
+    Register: lambda u: ((u.w, u.w), (u.w,)),
+}
+
+
+def infer_type(t: Term, sig: Signature) -> Tuple[Wires, Wires]:
     """Input and output wires of a term, or TermTypeError at the failing node."""
 
-    def fail(msg):
-        raise TermTypeError(msg, path=_path)
+    def fail(u, msg):
+        raise TermTypeError(msg, path=_path(t, u))
 
-    if isinstance(t, Id):
-        return t.ws, t.ws
-    if isinstance(t, Gen):
-        try:
-            spec = sig.lookup(t.name, t.args)
-        except TermTypeError as e:
-            fail(e.message)
-        d = t.delay
-        return (tuple(WireType(b, d) for b in spec.in_bases),
-                tuple(WireType(b, d) for b in spec.out_bases))
-    if isinstance(t, Const):
-        if not t.base.contains(t.value):
-            fail(f"constant {value_str(t.value)} is not a {t.base!r} value")
-        return (), (WireType(t.base, t.delay),)
-    if isinstance(t, Seq):
-        in1, out1 = infer_type(t.fst, sig, _path + ("seq", 0))
-        in2, out2 = infer_type(t.snd, sig, _path + ("seq", 1))
-        if out1 != in2:
-            fail(f"cannot compose: first yields {out1!r}, second needs {in2!r}")
-        return in1, out2
-    if isinstance(t, Par):
-        in1, out1 = infer_type(t.fst, sig, _path + ("par", 0))
-        in2, out2 = infer_type(t.snd, sig, _path + ("par", 1))
-        return in1 + in2, out1 + out2
-    if isinstance(t, Sym):
-        return t.a + t.b, t.b + t.a
-    if isinstance(t, Copy):
-        return t.ws, t.ws + t.ws
-    if isinstance(t, Discard):
-        return t.ws, ()
-    if isinstance(t, FbyBox):
-        return (t.w, t.w.shifted()), (t.w,)
-    if isinstance(t, Wait):
-        return (t.w,), (t.w.shifted(),)
-    if isinstance(t, Register):
-        return (t.w, t.w), (t.w,)
-    if isinstance(t, Fbk):
-        bin_, bout = infer_type(t.body, sig, _path + ("fbk",))
-        k = len(t.s)
-        want_in = shift_wires(t.s)
-        if bin_[:k] != want_in:
-            fail(f"feedback body must consume {want_in!r} in front, "
-                 f"found {bin_[:k]!r}")
-        if bout[:k] != t.s:
-            fail(f"feedback body must produce {t.s!r} in front, "
-                 f"found {bout[:k]!r}")
-        return bin_[k:], bout[k:]
-    if isinstance(t, DelayTerm):
-        bin_, bout = infer_type(t.body, sig, _path + ("delay",))
-        return shift_wires(bin_), shift_wires(bout)
-    fail(f"not a term: {t!r}")
+    def typed(u, a=None, b=None):
+        if isinstance(u, Seq):
+            (in1, out1), (in2, out2) = a, b
+            if out1 != in2:
+                fail(u, f"cannot compose: first yields {out1!r}, "
+                     f"second needs {in2!r}")
+            return in1, out2
+        if isinstance(u, Par):
+            return a[0] + b[0], a[1] + b[1]
+        if type(u) in _WIRING_TYPES:
+            return _WIRING_TYPES[type(u)](u)
+        if isinstance(u, Gen):
+            try:
+                spec = sig.lookup(u.name, u.args)
+            except TermTypeError as e:
+                fail(u, e.message)
+            d = u.delay
+            return (tuple(WireType(x, d) for x in spec.in_bases),
+                    tuple(WireType(x, d) for x in spec.out_bases))
+        if isinstance(u, Const):
+            if not u.base.contains(u.value):
+                fail(u, f"constant {value_str(u.value)} is not a "
+                     f"{u.base!r} value")
+            return (), (WireType(u.base, u.delay),)
+        if isinstance(u, Fbk):
+            (bin_, bout), k = a, len(u.s)
+            want_in = shift_wires(u.s)
+            if bin_[:k] != want_in:
+                fail(u, f"feedback body must consume {want_in!r} in front, "
+                     f"found {bin_[:k]!r}")
+            if bout[:k] != u.s:
+                fail(u, f"feedback body must produce {u.s!r} in front, "
+                     f"found {bout[:k]!r}")
+            return bin_[k:], bout[k:]
+        if isinstance(u, DelayTerm):
+            return shift_wires(a[0]), shift_wires(a[1])
+        fail(u, f"not a term: {u!r}")
+
+    return fold(t, typed)
 
 
 # ---------------------------------------------------------------------------
@@ -359,60 +402,44 @@ def _delayed(s: Stream, d: int) -> Stream:
 def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local name
     """Structural compilation of a checked term to a stream process."""
     infer_type(t, sig)
-    return _compile(t, sig)
+    return fold(t, partial(_compile, sig))
 
 
-def _compile(t: Term, sig: Signature) -> Stream:
-    if isinstance(t, Id):
-        return identity(wires_to_seq(t.ws))
+_STREAMS = {Id: identity, Copy: copy_stream, Discard: discard_stream,
+            FbyBox: fby_box, Wait: wait_stream, Register: register}
+
+
+def _compile(sig: Signature, t: Term, a=None, b=None) -> Stream:
+    """The stream of node ``t`` whose children compiled to ``a`` and ``b``."""
+    if isinstance(t, Seq):
+        return seq_comp(a, b)
+    if isinstance(t, Par):
+        return par_comp(a, b)
+    if isinstance(t, (Id, Copy, Discard)):
+        return _STREAMS[type(t)](wires_to_seq(t.ws))
+    if isinstance(t, (FbyBox, Wait, Register)):
+        return _delayed(_STREAMS[type(t)]((t.w.base,)), t.w.delay)
     if isinstance(t, Sym):
         return swap_stream(wires_to_seq(t.a), wires_to_seq(t.b))
-    if isinstance(t, Copy):
-        return copy_stream(wires_to_seq(t.ws))
-    if isinstance(t, Discard):
-        return discard_stream(wires_to_seq(t.ws))
     if isinstance(t, Gen):
         return _delayed(lift_const(sig.lookup(t.name, t.args).kernel), t.delay)
     if isinstance(t, Const):
         return _delayed(lift_const(const_source(t.value, t.base)), t.delay)
-    if isinstance(t, FbyBox):
-        return _delayed(fby_box((t.w.base,)), t.w.delay)
-    if isinstance(t, Wait):
-        return _delayed(wait_stream((t.w.base,)), t.w.delay)
-    if isinstance(t, Register):
-        return _delayed(register((t.w.base,)), t.w.delay)
-    if isinstance(t, Seq):
-        return seq_comp(_compile(t.fst, sig), _compile(t.snd, sig))
-    if isinstance(t, Par):
-        return par_comp(_compile(t.fst, sig), _compile(t.snd, sig))
     if isinstance(t, Fbk):
-        return fbk_stream(_compile(t.body, sig), wires_to_seq(t.s))
+        return fbk_stream(a, wires_to_seq(t.s))
     if isinstance(t, DelayTerm):
-        return delay_stream(_compile(t.body, sig))
+        return delay_stream(a)
     raise TermTypeError(f"not a term: {t!r}")
 
 
 def is_stochastic(t: Term, sig: Signature) -> bool:
     """True when some generator in the term draws randomness."""
-    if isinstance(t, Gen):
-        return sig.lookup(t.name, t.args).stochastic
-    if isinstance(t, (Seq, Par)):
-        return is_stochastic(t.fst, sig) or is_stochastic(t.snd, sig)
-    if isinstance(t, Fbk):
-        return is_stochastic(t.body, sig)
-    if isinstance(t, DelayTerm):
-        return is_stochastic(t.body, sig)
-    return False
+    return fold(t, lambda u, a=False, b=False: a or b or isinstance(u, Gen)
+                and sig.lookup(u.name, u.args).stochastic)
 
 
 def node_count(t: Term) -> int:
-    if isinstance(t, (Seq, Par)):
-        return 1 + node_count(t.fst) + node_count(t.snd)
-    if isinstance(t, Fbk):
-        return 1 + node_count(t.body)
-    if isinstance(t, DelayTerm):
-        return 1 + node_count(t.body)
-    return 1
+    return fold(t, lambda u, a=0, b=0: 1 + a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +607,14 @@ def random_term(sig: Signature, size: int, seed: int) -> Term:
 # Printer / reader
 # ---------------------------------------------------------------------------
 
+_PAIR_TERMS = {"seq": Seq, "par": Par}
+_WIRE_TERMS = {"fby": FbyBox, "wait": Wait, "reg": Register}
+_WIRES_TERMS = {"id": Id, "copy": Copy, "discard": Discard}
+_KEYWORDS = {Fbk: "fbk", DelayTerm: "delay", **{
+    cls: kw for terms in (_PAIR_TERMS, _WIRE_TERMS, _WIRES_TERMS)
+    for kw, cls in terms.items()}}
+
+
 def _wire_str(w: WireType) -> str:
     return f"{w.base!r}@{w.delay}"
 
@@ -589,35 +624,29 @@ def _wires_str(ws: Wires) -> str:
 
 
 def pretty(t: Term) -> str:
-    if isinstance(t, Id):
-        return f"id[{_wires_str(t.ws)}]" if t.ws else "id"
+    return fold(t, _show)
+
+
+def _show(t: Term, a=None, b=None) -> str:
+    """The text of node ``t`` whose children print as ``a`` and ``b``."""
+    kw = _KEYWORDS.get(type(t))
+    if kw in _PAIR_TERMS:
+        return f"{kw}({a}, {b})"
+    if kw in _WIRE_TERMS:
+        return f"{kw}[{_wire_str(t.w)}]"
+    if kw in _WIRES_TERMS:
+        return f"{kw}[{_wires_str(t.ws)}]" if t.ws or kw != "id" else "id"
     if isinstance(t, Gen):
-        args = ""
-        if t.args:
-            args = "{" + ",".join(value_str(v) for v in t.args) + "}"
+        args = "{" + ",".join(map(value_str, t.args)) + "}" if t.args else ""
         return f"{t.name}{args}@{t.delay}"
     if isinstance(t, Const):
         return f"const({value_str(t.value)}:{t.base!r})@{t.delay}"
-    if isinstance(t, Seq):
-        return f"seq({pretty(t.fst)}, {pretty(t.snd)})"
-    if isinstance(t, Par):
-        return f"par({pretty(t.fst)}, {pretty(t.snd)})"
     if isinstance(t, Sym):
         return f"sym[{_wires_str(t.a)}|{_wires_str(t.b)}]"
-    if isinstance(t, Copy):
-        return f"copy[{_wires_str(t.ws)}]"
-    if isinstance(t, Discard):
-        return f"discard[{_wires_str(t.ws)}]"
-    if isinstance(t, FbyBox):
-        return f"fby[{_wire_str(t.w)}]"
-    if isinstance(t, Wait):
-        return f"wait[{_wire_str(t.w)}]"
-    if isinstance(t, Register):
-        return f"reg[{_wire_str(t.w)}]"
     if isinstance(t, Fbk):
-        return f"fbk[{_wires_str(t.s)}]({pretty(t.body)})"
+        return f"fbk[{_wires_str(t.s)}]({a})"
     if isinstance(t, DelayTerm):
-        return f"delay({pretty(t.body)})"
+        return f"delay({a})"
     raise TermTypeError(f"not a term: {t!r}")
 
 
@@ -802,11 +831,6 @@ class _TokenParser:
             self.fail("expected a delay")
         self.next()
         return self.int_value(t)
-
-
-_PAIR_TERMS = {"seq": Seq, "par": Par}
-_WIRE_TERMS = {"fby": FbyBox, "wait": Wait, "reg": Register}
-_WIRES_TERMS = {"id": Id, "copy": Copy, "discard": Discard}
 
 
 class _TermReader(_TokenParser):

@@ -283,25 +283,34 @@ def _node(op, parts, x: ShapeSeq, out_seq: ShapeSeq, mem: ShapeSeq,
 
 def _lower(s: Stream, t: int, prog, ins: tuple) -> tuple:
     """Append the tick-``t`` kernel of ``s`` to ``prog``, reading slots
-    ``ins``; returns its output slots. One frame per level of the tree."""
-    op = s._op
-    if op is None:
-        return s.kernel(t).lower(prog, ins)
-    if op is fbk:
-        return _lower(s._parts[0], t, prog, ins)
-    if op is delay:
-        return _lower(s._parts[0], t - 1, prog, ins) if t else ()
-    f, g = s._parts
-    la, lb, la2 = len(f.mem.at(t)), len(g.mem.at(t)), len(f.mem.at(t + 1))
-    if op is seq_comp:
-        # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through f's output y
-        ry = _lower(f, t, prog, ins[:la] + ins[la + lb:])
-        return ry[:la2] + _lower(g, t, prog, ins[la:la + lb] + ry[la2:])
-    # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
-    lx, lb2 = la + lb + len(f.x.at(t)), len(g.mem.at(t + 1))
-    r1 = _lower(f, t, prog, ins[:la] + ins[la + lb:lx])
-    r2 = _lower(g, t, prog, ins[la:la + lb] + ins[lx:])
-    return r1[:la2] + r2[:lb2] + r1[la2:] + r2[lb2:]
+    ``ins``; returns its output slots. No call recurses."""
+    todo = []  # (op, g, tick, g's inputs besides y, la2, f's outputs)
+    while True:
+        op = s._op
+        if op is fbk or op is delay and t:
+            s, t = s._parts[0], t - (op is delay)
+        elif op is seq_comp or op is par_comp:
+            # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through f's output y, or
+            # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
+            f, g = s._parts
+            la, lb = len(f.mem.at(t)), len(g.mem.at(t))
+            end = None if op is seq_comp else la + lb + len(f.x.at(t))
+            gin = ins[la:la + lb] + (ins[end:] if op is par_comp else ())
+            todo.append((op, g, t, gin, len(f.mem.at(t + 1)), None))
+            s, ins = f, ins[:la] + ins[la + lb:end]
+        else:
+            r = s.kernel(t).lower(prog, ins) if op is None else ()
+            while todo:
+                op, g, t, gin, la2, r1 = todo.pop()
+                if r1 is None:  # f is lowered: g next
+                    todo.append((op, g, t, gin, la2, r))
+                    s, ins = g, gin + (r[la2:] if op is seq_comp else ())
+                    break
+                lb2 = len(g.mem.at(t + 1))
+                yf = r1[la2:] if op is par_comp else ()
+                r = r1[:la2] + r[:lb2] + yf + r[lb2:]
+            else:
+                return r
 
 
 def seq_comp(f: Stream, g: Stream) -> Stream:

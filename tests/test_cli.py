@@ -398,6 +398,20 @@ def test_usage_error_exits_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", WALK, "--state-cap", "1"],
+    ["sample", WALK, "--steps", "3", "--state-cap", "1"],
+    ["exact", WALK, "--inputs", RAMP],
+], ids=["run", "sample", "exact"])
+def test_flags_only_where_read(argv, capsys):
+    """``--state-cap`` bounds exact enumeration, which run and sample never
+    do; ``exact`` takes closed programs only, so it has no ``--inputs``."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def mstream_proc(*argv):
     return subprocess.run([sys.executable, "-m", "mstream", *argv],
                           capture_output=True, text=True)
@@ -490,12 +504,57 @@ def test_400_term_chain_runs(tmp_path):
     assert json.loads(p.stdout) == {"equal": True, "horizon": 1}
 
 
-# 300 parenthesised terms are too deep for the parser; a flat chain of 1200
-# is too deep for type inference
-@pytest.mark.parametrize("cmd, terms", [("run", 300), ("run", 1200),
-                                        ("check", 300), ("check", 1200)])
+@pytest.mark.parametrize("body, value", [
+    (" + ".join(["1"] * 10 ** 4), 10 ** 4),
+    ("- " * (10 ** 4 + 1) + "1", -1),
+], ids=["sum", "negation"])
+def test_10000_term_chain_runs(tmp_path, capsys, body, value):
+    """No pass recurses on the length of an expression."""
+    limit = sys.getrecursionlimit()
+    src = tmp_path / "long.ms"
+    src.write_text(f"main = {body}\n")
+    code, out, err = cli(capsys, "run", str(src), "--steps", "1")
+    assert (code, err) == (0, "") and out_values(out) == [value] * 2
+    code, out, err = cli(capsys, "exact", str(src), "--steps", "1")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["dist"] for line in out.splitlines()] \
+        == [{str(value): "1/1"}] * 2
+    code, out, err = cli(capsys, "check", str(src), str(src), "--horizon", "1")
+    assert (code, err, json.loads(out)) \
+        == (0, "", {"equal": True, "horizon": 1})
+    assert sys.getrecursionlimit() == limit
+
+
+def test_1000_term_fby_chain_runs(tmp_path, capsys):
+    limit = sys.getrecursionlimit()
+    src = tmp_path / "fby.ms"
+    src.write_text("main = " + " fby ".join(["0"] * 999 + ["1"]) + "\n")
+    code, out, err = cli(capsys, "run", str(src), "--steps", "1000",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[997:] == ["997,0", "998,0", "999,1", "1000,1"]
+    assert sys.getrecursionlimit() == limit
+
+
+def test_1200_definition_chain_written_main_first_runs(tmp_path, capsys):
+    """Every definition depends on the next one down, so the search for
+    recursive groups goes 1200 definitions deep."""
+    limit = sys.getrecursionlimit()
+    n = 1200
+    lines = [f"main = x{n - 1}"]
+    lines += [f"x{i} = x{i - 1} + 1" for i in range(n - 1, 0, -1)]
+    src = tmp_path / "chain.ms"
+    src.write_text("\n".join(lines + ["x0 = 0 fby x0 + 1"]) + "\n")
+    code, out, err = cli(capsys, "run", str(src), "--steps", "2")
+    assert (code, err) == (0, "")
+    assert out_values(out) == [n - 1, n, n + 1]
+    assert sys.getrecursionlimit() == limit
+
+
+# the parser's bracket rules recurse, once per level of parentheses
+@pytest.mark.parametrize("cmd, terms", [("run", 300), ("check", 300)])
 def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
-    src = deep_program(tmp_path, terms, parenthesised=terms == 300)
+    src = deep_program(tmp_path, terms, parenthesised=True)
     argv = [cmd, src] + ([src] if cmd == "check" else [])
     p = mstream_proc(*argv)
     assert p.returncode == 3

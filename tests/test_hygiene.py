@@ -10,11 +10,14 @@ as a variable, an attribute or an import.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mstream"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mstream"
 
 
 def _imported(tree):
@@ -125,3 +128,16 @@ def test_guard_sees_dead_private_name(tmp_path):
         "    return m._helper()\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert dead_private_names(paths) == ["a._Unused", "a._dead"]
+
+
+def test_traced_targets_exist(monkeypatch):
+    """``bench/tracing.py`` wraps each ``(owner, attr)`` of ``TARGETS`` by
+    name, so renaming one of them breaks the traced benchmark run."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert [(owner.__name__, attr) for owner, attr, _ in tracing.TARGETS
+            if attr not in owner.__dict__] == []

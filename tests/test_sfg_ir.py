@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +131,19 @@ def test_type_error_carries_path():
     assert e.value.path  # locates some inner node
     with pytest.raises(TermTypeError):
         infer_type(Gen("nope", 0), SIG)
+
+
+def test_10000_deep_seq_chain_without_recursion():
+    limit = sys.getrecursionlimit()
+    n = 10 ** 4 + 1
+    t = seq(Const(5, INT), *[Gen("neg", 0)] * n)
+    assert infer_type(t, SIG) == ((), (W0,))
+    assert pretty(t) == "seq(" * n + "const(5:int)@0" + ", neg@0)" * n
+    assert run_det(compile_term(t, SIG), n=2) == [(-5,)] * 3
+    with pytest.raises(TermTypeError) as e:
+        infer_type(seq(Const(5, BOOL), *[Gen("neg", 0)] * n), SIG)
+    assert e.value.path == ("seq", 0) * n
+    assert sys.getrecursionlimit() == limit
 
 
 def test_fbk_requires_shifted_prefix():
