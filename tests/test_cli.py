@@ -552,7 +552,8 @@ def test_1200_definition_chain_written_main_first_runs(tmp_path, capsys):
 
 
 # the parser's bracket rules recurse, once per level of parentheses
-@pytest.mark.parametrize("cmd, terms", [("run", 300), ("check", 300)])
+@pytest.mark.parametrize("cmd, terms", [("run", 300), ("run", 1200),
+                                        ("check", 300), ("check", 1200)])
 def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
     src = deep_program(tmp_path, terms, parenthesised=True)
     argv = [cmd, src] + ([src] if cmd == "check" else [])
