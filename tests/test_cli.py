@@ -609,3 +609,29 @@ def test_small_state_cap_variable_exits_5(monkeypatch, capsys):
     assert code == 5 and out == ""
     assert err == ("mstream: joint support reached 4 entries (cap 2) "
                    "at tick 0\n")
+
+
+# ---------------------------------------------------------------------------
+# seeded bytes
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden_samples.json"
+
+
+def golden_commands():
+    """The seeded commands whose stdout lines ``golden_samples.json``
+    records; a change to how draws are made must keep every byte."""
+    for prog in ("programs/walk.ms", "programs/ehrenfest.ms"):
+        for seed in ("0", "42", "99999999999"):
+            yield f"sample {prog} --steps 12 --trials 3 --seed {seed}"
+            yield f"run {prog} --backend stoch --steps 12 --seed {seed}"
+
+
+@pytest.mark.parametrize("command", list(golden_commands()))
+def test_seeded_output_bytes_are_pinned(capsys, command):
+    expected = json.loads(GOLDEN.read_text())[command]
+    argv = [str(PROGRAMS.parent / a) if a.startswith("programs/") else a
+            for a in command.split()]
+    code, out, err = cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in expected)
