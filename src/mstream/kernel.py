@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, lcm
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -175,10 +177,12 @@ class Dist:
     any other mass is converted with ``Fraction(q)``. Instances are immutable
     and compare by table equality. A composite kernel builds one ``Dist`` per
     input row, from the table its flat program accumulates; the kernels
-    nested in it build none.
+    nested in it build none. The first draw from a distribution builds and
+    keeps its cumulative table (:meth:`cdf`), so the rows that a kernel's
+    cache holds are sorted once, not once per draw.
     """
 
-    __slots__ = ("_p",)
+    __slots__ = ("_p", "_cdf")
 
     def __init__(self, mapping):
         p = {}
@@ -196,6 +200,7 @@ class Dist:
         if total != 1:
             raise ValueError(f"masses sum to {total or 0}, not 1")
         self._p = p
+        self._cdf = None
 
     def __getitem__(self, v) -> Fraction:
         return self._p.get(v, ZERO)
@@ -225,6 +230,22 @@ class Dist:
 
     def support(self):
         return sorted(self._p, key=value_key)
+
+    def cdf(self) -> tuple:
+        """``(values, cum, den)``: the support in canonical order and its
+        cumulative masses as integers over their common denominator ``den``,
+        so ``cum[i] / den`` is the mass of ``values[:i + 1]``. Built on the
+        first call and kept."""
+        if self._cdf is None:
+            vs = self.support()
+            den = lcm(*(q.denominator for q in self._p.values()))
+            cum, acc = [], 0
+            for v in vs:
+                q = self._p[v]
+                acc += q.numerator * (den // q.denominator)
+                cum.append(acc)
+            self._cdf = vs, cum, den
+        return self._cdf
 
     @property
     def is_dirac(self) -> bool:
@@ -282,14 +303,23 @@ def marginalize(d: Dist, keep) -> Dist:
 
 
 def sample(d: Dist, u) -> Value:
-    """Inverse-CDF draw: ``u`` in [0,1), support walked in canonical order."""
-    acc = ZERO
-    vs = d.support()
-    for v in vs:
-        acc += d[v]
-        if u < acc:
-            return v
-    return vs[-1]  # u rounded up against 1 - only reachable with float fuzz
+    """Inverse-CDF draw: the first value, in the canonical order of
+    ``d.cdf()``, whose cumulative mass exceeds ``u``.
+
+    ``u`` is a ``Fraction``, an int or a float, read exactly; ``u >= 1``
+    gives the last value and ``u < 0`` the first. Since ``cum`` holds
+    integers, ``u < cum[i] / den`` exactly when ``floor(u * den) < cum[i]``,
+    so the draw is one bisection of the kept table.
+    """
+    vs, cum, den = d.cdf()
+    return vs[min(bisect_right(cum, floor(Fraction(u) * den)), len(vs) - 1)]
+
+
+def sample_bits(d: Dist, k: int) -> Value:
+    """``sample(d, k / 2**64)`` for a 64-bit integer ``k``, with no
+    ``Fraction``: the bisection point is ``floor(k * den / 2**64)``."""
+    vs, cum, den = d.cdf()
+    return vs[bisect_right(cum, (k * den) >> 64)]
 
 
 # ---------------------------------------------------------------------------

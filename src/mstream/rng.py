@@ -7,12 +7,8 @@ rather than by drawing from one shared generator.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-TWO64 = 1 << 64
 
 
 def _finalize(z: int) -> int:
@@ -30,10 +26,6 @@ class SplitMix64:
     def next_uint64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
         return _finalize(self.state)
-
-    def next_fraction(self) -> Fraction:
-        """An exact uniform draw on {0, 1/2^64, ..., (2^64-1)/2^64}."""
-        return Fraction(self.next_uint64(), TWO64)
 
 
 def mix(seed: int, i: int) -> int:

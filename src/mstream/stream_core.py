@@ -60,7 +60,7 @@ from .kernel import (
     identity_kernel,
     rewire,
     row_in_shape,
-    sample,
+    sample_bits,
     shape_enumerable,
     swap,
     unit_shape,
@@ -643,12 +643,15 @@ def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
 def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
     """Draw one trajectory; byte-reproducible for a given seed.
 
-    Random bits are consumed only at genuinely stochastic ticks, so on
-    deterministic streams this equals run_det for every seed.
+    A tick whose joint distribution over (memory ++ output) rows is a point
+    consumes no random bits, so on deterministic streams this equals run_det
+    for every seed. Any other tick draws one 64-bit word ``k`` and takes
+    ``sample_bits(d, k)``, which is ``sample(d, k / 2**64)``: one bisection
+    of the table ``d.cdf()`` that the distribution builds on its first draw.
     """
     g = SplitMix64(seed)
     return _trace(f, inputs, n, lambda t, d: d.the_value() if d.is_dirac
-                  else sample(d, g.next_fraction()))
+                  else sample_bits(d, g.next_uint64()))
 
 
 def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:

@@ -31,6 +31,7 @@ from mstream.kernel import (
     range_kernel,
     rewire,
     sample,
+    sample_bits,
     smallest_row,
     swap,
     triangle,
@@ -489,6 +490,53 @@ def test_sample_inverse_cdf():
     assert sample(d, F(49, 100)) == -1
     assert sample(d, F(1, 2)) == 1
     assert sample(d, F(99, 100)) == 1
+
+
+def reference_sample(d, u):
+    """The draw as a plain walk: the support in canonical order, a Fraction
+    running sum, and the first value with ``u`` below it."""
+    acc = F(0)
+    vs = sorted(d.pairs(), key=lambda vq: value_key(vq[0]))
+    for v, q in vs:
+        acc += q
+        if u < acc:
+            return v
+    return vs[-1][0]
+
+
+def mixed_dist(rng):
+    """1 to 50 int or tuple atoms whose masses have mixed denominators,
+    some of them far above 2**64."""
+    n = rng.randint(1, 50)
+    if rng.random() < 0.5:
+        vs = rng.sample(range(-60, 60), n)
+    else:
+        vs = rng.sample([(a, b) for a in range(-5, 5)
+                         for b in (None, False, True, (1,), (0, 2))], n)
+    ws = [F(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 64, 3 ** 50, 2 ** 70)))
+          for _ in vs]
+    total = sum(ws)
+    return Dist({v: w / total for v, w in zip(vs, ws)})
+
+
+def test_sample_matches_the_fraction_walk():
+    rng = random.Random(2024)
+    tiny = F(1, 2 ** 64)
+    for _ in range(120):
+        d = mixed_dist(rng)
+        acc, bounds = F(0), []
+        for _, q in sorted(d.pairs(), key=lambda vq: value_key(vq[0])):
+            acc += q
+            bounds.append(acc)
+        vs, cum, den = d.cdf()
+        assert vs == d.support() and cum[-1] == den
+        us = [F(0), 1 - tiny, F(1), 0, 1, -1, 2, 0.5, 0.999999, -0.25,
+              rng.random()]
+        us += bounds + [b - tiny for b in bounds]
+        for u in us:
+            assert sample(d, u) == reference_sample(d, u), (d, u)
+        for k in [0, 2 ** 64 - 1] + [rng.getrandbits(64) for _ in range(50)]:
+            assert sample_bits(d, k) == sample(d, F(k, 2 ** 64)), (d, k)
 
 
 def test_sample_fair_coin_frequency():
