@@ -244,7 +244,7 @@ class Dist:
                 q = self._p[v]
                 acc += q.numerator * (den // q.denominator)
                 cum.append(acc)
-            self._cdf = vs, cum, den
+            self._cdf = tuple(vs), tuple(cum), den
         return self._cdf
 
     @property

@@ -384,8 +384,9 @@ def _pe(e, d, *kids):
         return str(e.value), 4
     if isinstance(e, Ident):
         return e.name, 4
-    if isinstance(e, Neg):
-        return "-" + slot(kids[0], 4), 3
+    if isinstance(e, Neg):  # a space keeps "- -1" from reading as a comment
+        s = slot(kids[0], 3)
+        return ("- " if s[0] == "-" else "-") + s, 3
     if isinstance(e, BinOp):
         lvl = _LEVEL[e.op]
         if e.op == "fby":

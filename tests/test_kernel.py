@@ -529,7 +529,7 @@ def test_sample_matches_the_fraction_walk():
             acc += q
             bounds.append(acc)
         vs, cum, den = d.cdf()
-        assert vs == d.support() and cum[-1] == den
+        assert list(vs) == d.support() and cum[-1] == den
         us = [F(0), 1 - tiny, F(1), 0, 1, -1, 2, 0.5, 0.999999, -0.25,
               rng.random()]
         us += bounds + [b - tiny for b in bounds]

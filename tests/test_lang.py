@@ -170,6 +170,15 @@ def test_round_trip_tricky():
         assert parse(pretty_program(p)) == p
 
 
+def test_chained_negation_prints_without_brackets():
+    src = "main = " + "- " * 300 + "1\n"
+    assert pretty_program(parse(src)) == "main = " + "- " * 299 + "-1\n"
+    assert parse(pretty_program(parse(src))) == parse(src)
+    for src in ("main = 3 - -1\n", "main = -(1 + 2)\n",
+                "x = 1\nmain = -x\n"):
+        assert pretty_program(parse(src)) == src
+
+
 def test_pretty_expr_inserts_needed_parens():
     e = BinOp("+", BinOp("fby", IntLit(1), IntLit(2)), IntLit(3))
     assert pretty_expr(e) == "(1 fby 2) + 3"
