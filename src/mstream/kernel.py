@@ -177,9 +177,7 @@ class Dist:
     any other mass is converted with ``Fraction(q)``. Instances are immutable
     and compare by table equality. A composite kernel builds one ``Dist`` per
     input row, from the table its flat program accumulates; the kernels
-    nested in it build none. The first draw from a distribution builds and
-    keeps its cumulative table (:meth:`cdf`), so the rows that a kernel's
-    cache holds are sorted once, not once per draw.
+    nested in it build none. The first draw builds and keeps :meth:`cdf`.
     """
 
     __slots__ = ("_p", "_cdf")
@@ -233,18 +231,13 @@ class Dist:
 
     def cdf(self) -> tuple:
         """``(values, cum, den)``: the support in canonical order and its
-        cumulative masses as integers over their common denominator ``den``,
-        so ``cum[i] / den`` is the mass of ``values[:i + 1]``. Built on the
-        first call and kept."""
+        cumulative masses as integers over their common denominator ``den``;
+        built on the first call and kept."""
         if self._cdf is None:
-            vs = self.support()
-            den = lcm(*(q.denominator for q in self._p.values()))
-            cum, acc = [], 0
-            for v in vs:
-                q = self._p[v]
-                acc += q.numerator * (den // q.denominator)
-                cum.append(acc)
-            self._cdf = tuple(vs), tuple(cum), den
+            p, vs = self._p, tuple(self.support())
+            den = lcm(*(q.denominator for q in p.values()))
+            self._cdf = vs, tuple(itertools.accumulate(
+                p[v].numerator * (den // p[v].denominator) for v in vs)), den
         return self._cdf
 
     @property
@@ -303,21 +296,16 @@ def marginalize(d: Dist, keep) -> Dist:
 
 
 def sample(d: Dist, u) -> Value:
-    """Inverse-CDF draw: the first value, in the canonical order of
-    ``d.cdf()``, whose cumulative mass exceeds ``u``.
-
-    ``u`` is a ``Fraction``, an int or a float, read exactly; ``u >= 1``
-    gives the last value and ``u < 0`` the first. Since ``cum`` holds
-    integers, ``u < cum[i] / den`` exactly when ``floor(u * den) < cum[i]``,
-    so the draw is one bisection of the kept table.
-    """
+    """Inverse-CDF draw: the first value of ``d.cdf()`` whose cumulative
+    mass exceeds ``u``, a Fraction, int or float read exactly; ``u >= 1``
+    gives the last value and ``u < 0`` the first."""
     vs, cum, den = d.cdf()
     return vs[min(bisect_right(cum, floor(Fraction(u) * den)), len(vs) - 1)]
 
 
 def sample_bits(d: Dist, k: int) -> Value:
-    """``sample(d, k / 2**64)`` for a 64-bit integer ``k``, with no
-    ``Fraction``: the bisection point is ``floor(k * den / 2**64)``."""
+    """``sample(d, k / 2**64)`` for a 64-bit ``k``, with no ``Fraction``:
+    ``u < cum[i] / den`` iff ``floor(u * den) < cum[i]``, an integer."""
     vs, cum, den = d.cdf()
     return vs[bisect_right(cum, (k * den) >> 64)]
 

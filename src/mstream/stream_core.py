@@ -643,11 +643,10 @@ def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
 def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
     """Draw one trajectory; byte-reproducible for a given seed.
 
-    A tick whose joint distribution over (memory ++ output) rows is a point
-    consumes no random bits, so on deterministic streams this equals run_det
-    for every seed. Any other tick draws one 64-bit word ``k`` and takes
-    ``sample_bits(d, k)``, which is ``sample(d, k / 2**64)``: one bisection
-    of the table ``d.cdf()`` that the distribution builds on its first draw.
+    A tick whose joint (memory ++ output) distribution is a point consumes
+    no random bits, so on deterministic streams this equals run_det for
+    every seed; any other tick takes ``sample_bits(d, k)`` for one 64-bit
+    word ``k``, a bisection of the table ``d.cdf()`` that ``d`` keeps.
     """
     g = SplitMix64(seed)
     return _trace(f, inputs, n, lambda t, d: d.the_value() if d.is_dirac
