@@ -300,7 +300,8 @@ def sample(d: Dist, u) -> Value:
     mass exceeds ``u``, a Fraction, int or float read exactly; ``u >= 1``
     gives the last value and ``u < 0`` the first."""
     vs, cum, den = d.cdf()
-    return vs[min(bisect_right(cum, floor(Fraction(u) * den)), len(vs) - 1)]
+    x = floor(Fraction(min(max(u, -1), 1)) * den)  # clamped: u may be ±inf
+    return vs[min(bisect_right(cum, x), len(vs) - 1)]
 
 
 def sample_bits(d: Dist, k: int) -> Value:

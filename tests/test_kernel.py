@@ -531,7 +531,7 @@ def test_sample_matches_the_fraction_walk():
         vs, cum, den = d.cdf()
         assert list(vs) == d.support() and cum[-1] == den
         us = [F(0), 1 - tiny, F(1), 0, 1, -1, 2, 0.5, 0.999999, -0.25,
-              rng.random()]
+              rng.random(), float("inf"), float("-inf")]
         us += bounds + [b - tiny for b in bounds]
         for u in us:
             assert sample(d, u) == reference_sample(d, u), (d, u)
