@@ -38,7 +38,7 @@ from .sfg_ir import (
     read_term,
 )
 from .stream_core import (
-    first_difference,
+    _compare,
     obs_equal,  # noqa: F401 - bench/tracing.py wraps cli.obs_equal by name
     observe,
     observe_marginals,
@@ -239,17 +239,12 @@ def cmd_check(a: str, b: str, horizon: int, main: Optional[str],
     sig = default_signature()
     sa = compile_term(_load_term(a, main, sig), sig)
     sb = compile_term(_load_term(b, main, sig), sig)
-    if sa.in_seq != sb.in_seq or sa.out_seq != sb.out_seq:
-        raise ShapeMismatch(
-            f"interfaces differ: {sa.in_seq!r} -> {sa.out_seq!r} vs "
-            f"{sb.in_seq!r} -> {sb.out_seq!r}")
-    k = first_difference(sa, sb, horizon, cap)
+    k, oa, ob = _compare(sa, sb, horizon, cap)
     if k is None:
         if fmt == "json":
             return 0, [json.dumps({"equal": True, "horizon": horizon})]
         return 0, [f"equal up to t={horizon}"]
-    ta = observe(sa, k, cap).kernel.table()
-    tb = observe(sb, k, cap).kernel.table()
+    ta, tb = oa.truncation(), ob.truncation()
     if fmt == "json":
         diff = {
             "equal": False,
@@ -332,7 +327,7 @@ def build_parser():
     ch.add_argument("--horizon", type=_nonneg, default=5)
     ch.add_argument("--main", default=None)
     ch.add_argument("--format", dest="fmt", default="json",
-                    choices=("json", "csv", "plain"))
+                    choices=("json", "plain"))
     ch.add_argument("--state-cap", type=_positive, default=None)
     return p
 

@@ -6,9 +6,10 @@ kernel maps (memory read ⊗ input) to (memory written ⊗ output). A leaf holds
 a short prefix of tick kernels, then one stationary kernel. Composition builds
 no kernel: a composite is a node of its composition tree, and its tick-t
 kernel, built on first use, lowers the tree at tick t (:func:`_lower`).
-``Stream.unroll`` steps a process one tick: the rest of a process is a leaf
-holding its tick kernels one shorter, and once the prefix is spent the rest
-is the process itself, so every later tick reuses one kernel and its cache.
+The engine steps a process by tick index, through ``kernel(t)``,
+``x.at(t)`` and ``mem.at(t + 1)``, so from tick ``n`` on every tick reuses
+the stationary kernel and its cache; ``Stream.unroll`` is the memoized
+coinductive view of the same kernels.
 
 A tick kernel is not evaluated as the tree it was composed as. On its first
 ``dist`` it lowers itself, once, to one flat program of leaf ops over a
@@ -28,11 +29,12 @@ Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
 the trailing memory discarded.
 
-Observation of joint tables carries exact integer weights over one shared
-denominator per table; each tick scales that denominator by the least common
-multiple of the denominators of the kernel rows it reads. Input prefixes that
-reach equal tables share one copy. Results leave this module as ``Fraction``
-masses and :class:`Dist` tables.
+Exact observation, of per-tick marginals and of joint tables alike, carries
+integer weights over one shared denominator, which each tick scales by the
+least common multiple of the mass denominators of the kernel rows it reads
+(:func:`_tick_rows`). Input prefixes that reach equal joint tables share one
+copy. Results leave this module as ``Fraction`` masses and :class:`Dist`
+tables.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import os
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     NondeterministicStream,
@@ -50,7 +52,6 @@ from .errors import (
     StateCapExceeded,
 )
 from .kernel import (
-    ONE,
     Dist,
     Kernel,
     Shape,
@@ -399,16 +400,32 @@ def wait_stream(shape) -> Stream:
 # Observation
 # ---------------------------------------------------------------------------
 
+def _tick_rows(f: Stream, t: int, rows) -> tuple:
+    """``(L, table)`` for tick ``t`` of ``f``: ``table`` maps each memory ++
+    input row of ``rows`` to ``[(new memory, output, mass * L)]``, where
+    ``L`` is the least common multiple of the rows' mass denominators."""
+    k, lm = f.kernel(t), len(f.mem.at(t + 1))
+    dists = [(r, k.dist(r).pairs()) for r in rows]
+    L = lcm(*[q.denominator for _, d in dists for _, q in d])
+    return L, {r: [(v[:lm], v[lm:], q.numerator * (L // q.denominator))
+                   for v, q in d] for r, d in dists}
+
+
+def _dist(weights: dict, scale: int) -> Dist:
+    """The ``Dist`` of integer ``weights`` over the denominator ``scale``."""
+    return Dist({v: Fraction(p, scale) for v, p in weights.items()})
+
+
 class _Observation:
-    """Incremental exact unrolling against all input prefixes.
+    """Incremental exact observation of ``stream`` against all input
+    prefixes, ``t`` ticks so far.
 
     ``j`` maps each flat input prefix row to integer weights over
     (current memory row ++ output rows so far). All weights share the one
     denominator ``scale``: an entry of weight ``w`` has mass
-    ``w / scale``. Each tick multiplies ``scale`` by the least common
-    multiple of the denominators of the kernel rows the tick reads, so the
-    update is integer arithmetic throughout; ``truncation()`` returns
-    ``Fraction`` masses.
+    ``w / scale``. Each tick multiplies ``scale`` by the ``L`` of its
+    :func:`_tick_rows`, so the update is integer arithmetic throughout;
+    ``truncation()`` returns ``Dist`` tables.
 
     Prefixes share equal tables. A process whose outputs ignore or discard
     some inputs reaches one table from many prefixes, so ``j`` keeps each
@@ -423,29 +440,21 @@ class _Observation:
     def __init__(self, stream: Stream, cap: Optional[int] = None):
         self.cap = state_cap() if cap is None else cap
         self.stream = stream
-        self.mem_len = 0
-        self.in_shapes: List[Shape] = []
-        self.out_shapes: List[Shape] = []
+        self.t = 0
         self.j = {(): {(): 1}}
         self.scale = 1
 
     def advance(self) -> None:
-        x_shape = self.stream.x.at(0)
-        mem, now, later = self.stream.unroll()
+        f, t = self.stream, self.t
+        x_shape = f.x.at(t)
         if not shape_enumerable(x_shape):
             raise NotEnumerable(
                 f"cannot observe over non-enumerable input {x_shape!r}")
-        y_shape = self.stream.out_seq.at(0)
-        lm_old, lm_new = self.mem_len, len(mem)
+        lm = len(f.mem.at(t))
         x_rows = list(enumerate_rows(x_shape))
         tables = {id(w): w for w in self.j.values()}
-        mems = {prev[:lm_old] for w in tables.values() for prev in w}
-        dists = {m + x: now.dist(m + x) for m in mems for x in x_rows}
-        L = lcm(*{q.denominator for d in dists.values() for _, q in d.pairs()})
-        # each kernel row as (new memory, this tick's output, mass * L)
-        rows = {r: [(v[:lm_new], v[lm_new:], q.numerator * (L // q.denominator))
-                    for v, q in d.pairs()]
-                for r, d in dists.items()}
+        mems = {prev[:lm] for w in tables.values() for prev in w}
+        L, rows = _tick_rows(f, t, [m + x for m in mems for x in x_rows])
         new_j = {}
         built = {}  # (id(table), input row) -> the table it leads to
         by_hash = {}  # order-independent hash -> first table built with it
@@ -456,8 +465,8 @@ class _Observation:
                 if acc is None:
                     acc = {}
                     for prev, p in w.items():
-                        ys = prev[lm_old:]
-                        for m2, y, n in rows[prev[:lm_old] + x]:
+                        ys = prev[lm:]
+                        for m2, y, n in rows[prev[:lm] + x]:
                             key = m2 + ys + y
                             acc[key] = acc.get(key, 0) + p * n
                     same = by_hash.setdefault(sum(map(hash, acc.items())), acc)
@@ -467,20 +476,16 @@ class _Observation:
                 new_j[xs + x] = acc
                 total += len(acc)
                 if total > self.cap:
-                    raise StateCapExceeded(total, self.cap,
-                                           len(self.in_shapes))
+                    raise StateCapExceeded(total, self.cap, t)
         self.j = new_j
         self.scale *= L
-        self.mem_len = lm_new
-        self.in_shapes.append(x_shape)
-        self.out_shapes.append(y_shape)
-        self.stream = later
+        self.t = t + 1
 
     def weights(self) -> dict:
         """Memory-discarded integer weights over ``scale``:
         input prefix row -> {output rows: weight}, one dict per distinct
         table."""
-        lm = self.mem_len
+        lm = len(self.stream.mem.at(self.t))
         if lm == 0:
             return self.j
 
@@ -494,11 +499,9 @@ class _Observation:
         return _per_table(self.j, discard_mem)
 
     def truncation(self) -> dict:
-        """Memory-discarded joint: input prefix row -> {output rows: mass},
-        one dict per distinct table."""
-        s = self.scale
-        return _per_table(self.weights(), lambda acc: {
-            ys: Fraction(p, s) for ys, p in acc.items()})
+        """Memory-discarded joint: input prefix row -> ``Dist`` over output
+        rows, one ``Dist`` per distinct table."""
+        return _per_table(self.weights(), partial(_dist, scale=self.scale))
 
     def same_truncation(self, other: "_Observation") -> bool:
         """Whether both truncations are equal, by cross-multiplied weights,
@@ -565,28 +568,35 @@ def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
     obs = _Observation(f, cap)
     for _ in range(n + 1):
         obs.advance()
-    table = _per_table(obs.truncation(), Dist)
-    in_shape = sum(obs.in_shapes, ())
-    out_shape = sum(obs.out_shapes, ())
-    kernel = Kernel(in_shape, out_shape, lambda row: table[row])
-    return NStageProcess(n, obs.in_shapes, obs.out_shapes, kernel)
+    table = obs.truncation()
+    in_shapes = [f.x.at(t) for t in range(n + 1)]
+    out_shapes = [f.out_seq.at(t) for t in range(n + 1)]
+    kernel = Kernel(sum(in_shapes, ()), sum(out_shapes, ()),
+                    lambda row: table[row])
+    return NStageProcess(n, in_shapes, out_shapes, kernel)
+
+
+def _compare(f: Stream, g: Stream, n: int, cap: Optional[int]) -> tuple:
+    """``(k, a, b)``: the first tick k <= n whose truncations of ``f`` and
+    ``g`` differ, or None, and the observations of both that decided it."""
+    if f.in_seq != g.in_seq or f.out_seq != g.out_seq:
+        raise ShapeMismatch(
+            f"interfaces differ: {f.in_seq!r} -> {f.out_seq!r} vs "
+            f"{g.in_seq!r} -> {g.out_seq!r}")
+    a, b = _Observation(f, cap), _Observation(g, cap)
+    for k in range(n + 1):
+        a.advance()
+        b.advance()
+        if not a.same_truncation(b):
+            return k, a, b
+    return None, a, b
 
 
 def first_difference(f: Stream, g: Stream, n: int,
                      cap: Optional[int] = None) -> Optional[int]:
     """The first tick k <= n whose truncations of ``f`` and ``g`` differ,
     or None when they agree at every horizon up to n."""
-    if f.in_seq != g.in_seq:
-        raise ShapeMismatch(f"inputs differ: {f.in_seq!r} vs {g.in_seq!r}")
-    if f.out_seq != g.out_seq:
-        raise ShapeMismatch(f"outputs differ: {f.out_seq!r} vs {g.out_seq!r}")
-    a, b = _Observation(f, cap), _Observation(g, cap)
-    for k in range(n + 1):
-        a.advance()
-        b.advance()
-        if not a.same_truncation(b):
-            return k
-    return None
+    return _compare(f, g, n, cap)[0]
 
 
 def obs_equal(f: Stream, g: Stream, n: int, cap: Optional[int] = None) -> bool:
@@ -608,14 +618,14 @@ def _input_row(inputs, t: int, x_shape: Shape):
 def _trace(f: Stream, inputs, n: int, choose) -> list:
     """Output rows of ticks 0..n, taking ``choose(t, dist)`` as tick t's
     memory and output row."""
-    cur, m_row = f, ()
+    m_row = ()
     trace = []
     for t in range(n + 1):
-        x = _input_row(inputs, t, cur.x.at(0))
-        mem, now, cur = cur.unroll()
-        row = choose(t, now.dist(m_row + x))
-        m_row = row[:len(mem)]
-        trace.append(row[len(mem):])
+        x = _input_row(inputs, t, f.x.at(t))
+        row = choose(t, f.kernel(t).dist(m_row + x))
+        lm = len(f.mem.at(t + 1))
+        m_row = row[:lm]
+        trace.append(row[lm:])
     return trace
 
 
@@ -656,35 +666,28 @@ def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
 def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:
     """Per-tick exact output marginals of a closed stream, ticks 0..n.
 
-    Unlike observe(), the output history is integrated out as it goes, so
-    the state kept is only (memory ⊗ current output) — linear in n for
-    bounded memory.
+    Unlike observe(), the output history is integrated out as it goes: the
+    state kept is integer weights over memory rows, and each tick's joint
+    over (memory, output), whose entries the cap counts, is summed out to
+    them and the tick's marginal — linear in n for bounded memory.
     """
     if f.in_seq != ShapeSeq.constant(unit_shape):
         raise ShapeMismatch("per-tick marginals need a closed stream")
     limit = state_cap() if cap is None else cap
-    cur = f
-    w = {(): ONE}  # memory row -> mass
+    w, scale = {(): 1}, 1  # memory row -> weight over scale
     result = []
     for t in range(n + 1):
-        mem, now, later = cur.unroll()
-        lm = len(mem)
+        L, rows = _tick_rows(f, t, w)
+        scale *= L
         joint = {}
         for m, p in w.items():
-            for row, q in now.dist(m).pairs():
-                pq = q if p is ONE else p if q is ONE else p * q
-                r = joint.get(row)
-                joint[row] = pq if r is None else r + pq
+            for m2, y, q in rows[m]:
+                joint[m2, y] = joint.get((m2, y), 0) + p * q
         if len(joint) > limit:
             raise StateCapExceeded(len(joint), limit, t)
-        marg = {}
-        w = {}
-        for row, p in joint.items():
-            y, m = row[lm:], row[:lm]
-            r = marg.get(y)
-            marg[y] = p if r is None else r + p
-            r = w.get(m)
-            w[m] = p if r is None else r + p
-        result.append(Dist(marg))
-        cur = later
+        marg, w = {}, {}
+        for (m2, y), p in joint.items():
+            marg[y] = marg.get(y, 0) + p
+            w[m2] = w.get(m2, 0) + p
+        result.append(_dist(marg, scale))
     return result

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mstream.cli import main
+from mstream.stream_core import Stream
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 FIB = str(PROGRAMS / "fib.ms")
@@ -371,9 +373,42 @@ def test_check_plain_diff(capsys):
     assert any(line.startswith("right ()") for line in lines)
 
 
+def test_check_has_no_csv_format():
+    """``check`` prints JSON or plain lines only; ``csv`` is a usage error."""
+    p = mstream_proc("check", COIN_COPY, TWO_COINS, "--format", "csv")
+    assert p.returncode == 2 and p.stdout == ""
+    assert "invalid choice: 'csv'" in p.stderr
+
+
 # ---------------------------------------------------------------------------
 # process-level
 # ---------------------------------------------------------------------------
+
+def test_commands_leave_no_stream_to_the_cyclic_collector(capsys):
+    """Every command frees its compiled streams by reference counting: with
+    the cyclic collector off, a collection finds no ``Stream`` in a cycle."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in (["run", FIB, "--steps", "30"],
+                     ["sample", EHRENFEST, "--trials", "3"],
+                     ["exact", EHRENFEST, "--steps", "5", "--joint"],
+                     ["check", EHRENFEST, EHRENFEST, "--horizon", "3"],
+                     ["check", COIN_COPY, TWO_COINS]):
+            main(argv)
+            gc.collect()
+            cyclic = sum(isinstance(o, Stream) for o in gc.garbage)
+            gc.garbage.clear()
+            assert cyclic == 0, f"{argv[0]}: {cyclic} streams in cycles"
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+
 
 def test_module_entry_point():
     p = subprocess.run(

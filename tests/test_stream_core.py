@@ -13,7 +13,7 @@ from mstream.errors import (
     ShapeMismatch,
     StateCapExceeded,
 )
-from mstream import sfg_ir
+from mstream import cli, sfg_ir
 from mstream.kernel import (
     BOOL,
     INT,
@@ -63,6 +63,7 @@ from mstream import (
     elaborate,
     finite_signature,
     parse,
+    read_term,
     seq_term,
 )
 from mstream.sfg_ir import random_term_of_type
@@ -594,6 +595,101 @@ def test_prefixes_that_reach_one_table_share_it():
         assert len(obs.j) == 4 ** (t + 1)
         assert len({id(w) for w in obs.j.values()}) == 1, f"tick {t}"
     assert observe(f, 4).kernel.table() == ref_observe(f, 4, 10 ** 6)
+
+
+def fraction_marginals(f, n, cap):
+    """Reference per-tick marginals: one ``Fraction`` mass per (memory ++
+    output) row, multiplied tick by tick."""
+    cur = f
+    w = {(): ONE}  # memory row -> mass
+    result = []
+    for t in range(n + 1):
+        mem, now, later = cur.unroll()
+        lm = len(mem)
+        joint = {}
+        for m, p in w.items():
+            for row, q in now.dist(m).pairs():
+                pq = q if p is ONE else p if q is ONE else p * q
+                r = joint.get(row)
+                joint[row] = pq if r is None else r + pq
+        if len(joint) > cap:
+            raise StateCapExceeded(len(joint), cap, t)
+        marg = {}
+        w = {}
+        for row, p in joint.items():
+            y, m = row[lm:], row[:lm]
+            r = marg.get(y)
+            marg[y] = p if r is None else r + p
+            r = w.get(m)
+            w[m] = p if r is None else r + p
+        result.append(Dist(marg))
+        cur = later
+    return result
+
+
+def closed_random_term(seed):
+    rng = random.Random(seed)
+    return random_term_of_type(rng, FIN, (), random_wires(rng, 1, 2), 8)
+
+
+def marginals_or_cap(marginals, f, n, cap):
+    """The marginals, or the (size, tick) of the state cap they hit."""
+    try:
+        return marginals(f, n, cap)
+    except StateCapExceeded as e:
+        return e.size, e.tick
+
+
+def sticky_coin_stream():
+    """Emits a fair coin until it first shows 1, then 1 forever: from tick
+    1 on, one memory row draws masses 1/2 and the other a point."""
+    s = (I01,)
+    coin = Dist({(0, 0): F(1, 2), (1, 1): F(1, 2)})
+    k0 = Kernel((), s + s, lambda r: coin)
+    kt = Kernel(s, s + s, lambda r: dirac((1, 1)) if r[0] else coin)
+    return fbk(lift_seq((k0,), kt), ShapeSeq.constant(s))
+
+
+def test_observe_marginals_matches_fraction_reference():
+    """Seeded closed terms, and two streams whose ticks mix denominators:
+    within one kernel row (1/3 and 1/6) and across memory rows."""
+    horizon = 6
+    stochastic = hits = 0
+    streams = [compile_term(closed_random_term(seed), FIN)
+               for seed in range(60)]  # stream i is drawn with seed i
+    streams += [sticky_coin_stream(), compile_term(read_term(
+        "seq(par(unif3@0, coin@0), par(iszero@0, id[bool@0]))"), FIN)]
+    for i, f in enumerate(streams):
+        want = fraction_marginals(f, horizon, 10 ** 6)
+        got = observe_marginals(f, horizon)
+        assert got == want, f"stream {i}"
+        assert all(isinstance(q, Fraction)
+                   for d in got for _, q in d.pairs())
+        stochastic += any(len(d) > 1 for d in want)
+        # under a small cap, the same tick and size
+        want = marginals_or_cap(fraction_marginals, f, horizon, 3)
+        got = marginals_or_cap(observe_marginals, f, horizon, 3)
+        assert got == want, f"stream {i}, cap 3"
+        hits += isinstance(want, tuple)
+    assert stochastic >= 20 and hits >= 10
+
+
+def test_check_steps_each_side_once(monkeypatch, tmp_path):
+    """``check`` prints the observations that found the difference at tick k:
+    each side is stepped k + 1 times, not once more from tick 0."""
+    steps = []
+    advance = _Observation.advance
+
+    def counted(self):
+        steps.append(self.t)
+        advance(self)
+
+    monkeypatch.setattr(_Observation, "advance", counted)
+    a, b = tmp_path / "a.ms", tmp_path / "b.ms"
+    a.write_text("main = 0\n")
+    b.write_text("main = 0 fby (0 fby (0 fby 1))\n")
+    assert cli.main(["check", str(a), str(b), "--horizon", "6"]) == 1
+    assert steps == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def fresh_unit_stream(s):
