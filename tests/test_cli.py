@@ -653,19 +653,39 @@ def test_small_state_cap_variable_exits_5(monkeypatch, capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden_samples.json"
 
 
+# An unused input, a dead recursive draw, a register over a draw and a
+# mutually recursive pair; ``inline.ms`` in a command names this source.
+INLINE_SRC = """\
+input y : int
+x = unif(1, 2) fby (x + unif(0, 1))
+r = 0 fby unif(0, 3)
+a = 0 fby (b + unif(0, 1))
+b = a + r
+main = (a, b, r)
+"""
+
+
 def golden_commands():
     """The seeded commands whose stdout lines ``golden_samples.json``
     records; a change to how draws are made must keep every byte."""
-    for prog in ("programs/walk.ms", "programs/ehrenfest.ms"):
+    for prog in ("programs/walk.ms", "programs/ehrenfest.ms",
+                 "programs/counters.ms", "programs/fib.ms"):
         for seed in ("0", "42", "99999999999"):
             yield f"sample {prog} --steps 12 --trials 3 --seed {seed}"
             yield f"run {prog} --backend stoch --steps 12 --seed {seed}"
+    for prog in ("programs/running_sum.ms", "inline.ms"):
+        inputs = "--inputs programs/ramp_inputs.jsonl --steps 9"
+        for seed in ("0", "42", "99999999999"):
+            yield f"sample {prog} {inputs} --trials 3 --seed {seed}"
+            yield f"run {prog} {inputs} --backend stoch --seed {seed}"
 
 
 @pytest.mark.parametrize("command", list(golden_commands()))
-def test_seeded_output_bytes_are_pinned(capsys, command):
+def test_seeded_output_bytes_are_pinned(tmp_path, capsys, command):
     expected = json.loads(GOLDEN.read_text())[command]
-    argv = [str(PROGRAMS.parent / a) if a.startswith("programs/") else a
+    (tmp_path / "inline.ms").write_text(INLINE_SRC)
+    argv = [str(PROGRAMS.parent / a) if a.startswith("programs/")
+            else str(tmp_path / a) if a == "inline.ms" else a
             for a in command.split()]
     code, out, err = cli(capsys, *argv)
     assert (code, err) == (0, "")
