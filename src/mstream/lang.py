@@ -7,8 +7,8 @@ integers).  ``parse`` builds the AST, ``check_causality`` verifies that every
 dependency cycle passes through a delay and that widths and bases agree, and
 ``elaborate`` compiles the program to a single term over the default
 generator signature (see ``sfg_ir``).  Each expression becomes its own term
-over the names it uses, and each definition is one step that routes the
-environment once; each strongly connected component of definitions becomes
+over the names it uses, each definition is one step that routes the blocks
+still read later, and each strongly connected component of definitions is
 one ``Fbk`` whose fed-back wires cancel one syntactic delay per recursive use.
 """
 
@@ -133,18 +133,6 @@ class Program:
     inputs: tuple = ()
     defs: tuple = ()
     main: str = ""
-
-    def definition(self, name):
-        for d in self.defs:
-            if d.name == name:
-                return d
-        return None
-
-    def input(self, name):
-        for i in self.inputs:
-            if i.name == name:
-                return i
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -679,15 +667,20 @@ class _Elab:
 
     An env block is ``((name, fed), wires)``: a declared input, an elaborated
     definition, or (``fed``) the fed-back wire of a recursive definition.
+    ``last[name]`` is the index of the last SCC that reads ``name``.
     """
 
     def __init__(self, analysis):
         self.an = analysis
-        self.p = analysis.program
-        self.delays = {d.name: 0 for d in self.p.defs}
-        self.delays.update(
-            {i.name: i.wire.delay for i in self.p.inputs})
-        self.wires = {(i.name, False): (i.wire,) for i in self.p.inputs}
+        p = analysis.program
+        self.exprs = {d.name: d.expr for d in p.defs}
+        self.delays = dict.fromkeys(self.exprs, 0)
+        self.delays.update({i.name: i.wire.delay for i in p.inputs})
+        self.wires = {(i.name, False): (i.wire,) for i in p.inputs}
+        at = {n: k for k, comp in enumerate(analysis.sccs) for n in comp}
+        self.last = dict.fromkeys(self.delays, -1)
+        for o in analysis.occurrences:
+            self.last[o.name] = max(self.last[o.name], at[o.definition])
 
     def node(self, scc, e, d, *kids):
         """``(t, uses, outs)``: ``t`` maps the env blocks ``uses``, in order,
@@ -745,32 +738,34 @@ class _Elab:
 
     # definitions -----------------------------------------------------------
 
-    def define(self, name, scc, env):
-        """One step from ``env`` to the wires of ``name`` followed by ``env``,
-        and the env after it."""
-        nodes = _walk(self.p.definition(name).expr, 0,
+    def define(self, name, scc, env, after):
+        """One step from ``env`` to the wires of ``name`` followed by the
+        blocks still read after SCC ``after``, and the env after it."""
+        nodes = _walk(self.exprs[name], 0,
                       lambda x, d: d + self._delayed(x.rhs, d, scc))
         t, uses, outs = _fold(nodes, partial(self.node, scc))
         self.wires[name, False] = outs
-        rest = tuple(w for _, ws in env for w in ws)
-        step = _seq(_gather(env, uses + env), _beside(t, rest))
-        return step, [((name, False), outs)] + env
+        keep = [b for b in env if self.last[b[0][0]] > after]
+        rest = tuple(w for _, ws in keep for w in ws)
+        step = _seq(_gather(env, uses + keep), _beside(t, rest))
+        return step, [((name, False), outs)] + keep
 
-    def group(self, comp, env):
-        """The step of one SCC of definitions, and the env after it."""
+    def group(self, k, comp, env):
+        """The step of SCC ``k``, ``comp``, and the env after it."""
         if comp[0] not in self.an.recursive:
-            return self.define(comp[0], frozenset(), env)
+            return self.define(comp[0], frozenset(), env, k)
         scc = frozenset(comp)
         fed = [((n, True), (WireType(INT, 1),)) for n in comp]
         vals = [((n, False), (WireType(INT, 0),)) for n in comp]
         self.wires.update(fed)
         steps, benv = [], fed + env
-        for n in comp:
-            step, benv = self.define(n, scc, benv)
+        for n in comp:  # the group reads its own blocks until its end
+            step, benv = self.define(n, scc, benv, k - 1)
             steps.append(step)
-        # copy the values out, drop the fed wires
-        steps.append(_gather(benv, vals + vals + env))
-        return Fbk((WireType(INT, 0),) * len(comp), seq(*steps)), vals + env
+        # feed every value back, copy out those read later, drop the rest
+        out = [b for b in vals + env if self.last[b[0][0]] > k]
+        steps.append(_gather(benv, vals + out))
+        return Fbk((WireType(INT, 0),) * len(comp), seq(*steps)), out
 
 
 def elaborate(p: Program, main: Optional[str] = None) -> Term:
@@ -779,20 +774,21 @@ def elaborate(p: Program, main: Optional[str] = None) -> Term:
     The result maps the declared input wires to the wires of ``main`` (by
     default the program's designated main).  Each definition is one step:
     one wiring brings the env blocks its expression uses in front of the
-    env, and the expression's own term maps them to its value.  Each
-    recursive group becomes one ``Fbk``; every recursive use at delay d
-    reads the fed-back wire through d−1 waits; non-recursive ``a fby b``
-    becomes a register.
+    blocks still read later, and discards the rest; the expression's own
+    term maps its blocks to its value.  Each recursive group becomes one
+    ``Fbk``; every recursive use at delay d reads the fed-back wire through
+    d−1 waits; non-recursive ``a fby b`` becomes a register.
     """
     an = check_causality(p)
-    name = main if main is not None else p.main
-    if p.definition(name) is None:
-        raise TermTypeError(f"no definition named {name!r}")
     el = _Elab(an)
+    name = main if main is not None else p.main
+    if name not in el.exprs:
+        raise TermTypeError(f"no definition named {name!r}")
+    el.last[name] = len(an.sccs)  # read by the final selection
     env = [((i.name, False), (i.wire,)) for i in p.inputs]
     steps = []
-    for comp in an.sccs:
-        step, env = el.group(comp, env)
+    for k, comp in enumerate(an.sccs):
+        step, env = el.group(k, comp, env)
         steps.append(step)
     steps.append(_gather(env, [((name, False), el.wires[name, False])]))
     return _seq(*steps)

@@ -31,9 +31,14 @@ from mstream.lang import (
     pretty_program,
 )
 from mstream.sfg_ir import (
+    Copy,
+    Discard,
+    Id,
+    Sym,
     WireType,
     compile as compile_term,
     default_signature,
+    fold,
     infer_type,
     read_term,
 )
@@ -352,8 +357,37 @@ def test_tuple_fby():
 def test_main_override_and_missing():
     p = parse("a = 1\nb = 2\n")
     assert run_det(compile_term(elaborate(p, "a"), SIG), n=0) == [(1,)]
-    with pytest.raises(TermTypeError):
+    with pytest.raises(TermTypeError, match="no definition named 'zzz'"):
         elaborate(p, "zzz")
+    p = parse("input x : int\na = x + 1\n")
+    with pytest.raises(TermTypeError, match="no definition named 'x'"):
+        elaborate(p, "x")
+
+
+def wiring_width(t):
+    """The wires of all ``Id``, ``Copy``, ``Discard`` and ``Sym`` leaves."""
+    def width(u, *kids):
+        if isinstance(u, (Id, Copy, Discard)):
+            return len(u.ws)
+        return len(u.a) + len(u.b) if isinstance(u, Sym) else sum(kids)
+    return fold(t, width)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("shape", ["chain", "main_first", "shared_draw"])
+def test_chained_definitions_elaborate_to_linear_wiring(shape, n):
+    """Each step carries only the blocks read later, so n chained
+    definitions elaborate to O(n) wires, not to n copies of the env."""
+    limit = sys.getrecursionlimit()
+    drawn = shape == "shared_draw"
+    lines = ["x0 = unif(0, 1)" if drawn else "x0 = 0 fby x0 + 1"]
+    lines += [f"x{i} = x{i - 1} + {'x0' if drawn else 1}"
+              for i in range(1, n)]
+    lines.append(f"main = x{n - 1}")
+    if shape == "main_first":
+        lines.reverse()
+    assert wiring_width(elaborate(parse("\n".join(lines) + "\n"))) <= 6 * n
+    assert sys.getrecursionlimit() == limit
 
 
 def test_wait_retimes_but_does_not_resample():

@@ -288,10 +288,11 @@ def test_perm_term_moves_a_block_to_the_front_with_one_sym():
 def test_ehrenfest_ir_stays_small():
     programs = Path(__file__).resolve().parent.parent / "programs"
     t = elaborate(parse((programs / "ehrenfest.ms").read_text()))
-    assert node_count(t) <= 350
-    assert _sym_count(t) <= 15
-    fib = elaborate(parse((programs / "fib.ms").read_text()))
-    assert node_count(fib) <= 30
+    assert node_count(t) <= 283
+    assert _sym_count(t) <= 11
+    for name, most in (("fib", 30), ("counters", 38), ("running_sum", 26)):
+        t = elaborate(parse((programs / f"{name}.ms").read_text()))
+        assert node_count(t) <= most, name
 
 
 @pytest.mark.parametrize("name, most", [("ehrenfest", 200), ("fib", 30)])
