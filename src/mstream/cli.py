@@ -6,9 +6,8 @@ distributions.  All output is computed in full before anything is printed, so
 a failure never leaves partial JSON behind.
 
 Exit codes: 0 success; 1 check found a difference; 2 syntax errors; 3
-causality or type errors (including malformed inputs, and brackets nested too
-deeply to parse); 4 a stochastic program under the deterministic backend; 5
-state-cap exceeded.
+causality or type errors (including malformed inputs); 4 a stochastic program
+under the deterministic backend; 5 state-cap exceeded.
 """
 
 from __future__ import annotations
@@ -49,18 +48,6 @@ from .stream_core import (
 from .values import value_str, value_to_json
 
 
-def _json_to_value(x):
-    if x is None:
-        return None  # unit
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, list):
-        return tuple(_json_to_value(v) for v in x)
-    raise ShapeMismatch(f"not a stream value: {x!r}")
-
-
 def _read_text(path) -> str:
     """The text of a UTF-8 file; an unreadable one is a syntax error at 0:0."""
     try:
@@ -73,6 +60,7 @@ def _read_text(path) -> str:
 
 
 def _read_inputs(path):
+    """A tuple per non-blank line, of the values wires carry: int, bool, unit."""
     rows = []
     for ln, line in enumerate(_read_text(path).split("\n"), 1):
         line = line.strip()
@@ -82,10 +70,15 @@ def _read_inputs(path):
             data = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(f"inputs: {e.msg}", ln, e.colno)
+        except RecursionError:
+            raise ParseError("inputs: arrays nested too deeply", ln, 1)
         if not isinstance(data, list):
             raise ShapeMismatch(
                 f"inputs line {ln}: each tick must be an array of values")
-        rows.append(tuple(_json_to_value(v) for v in data))
+        if not all(v is None or isinstance(v, int) for v in data):  # or bool
+            raise ShapeMismatch(f"inputs line {ln}: each value must be an "
+                                "integer, true, false or null")
+        rows.append(tuple(data))
     return rows
 
 
@@ -372,13 +365,6 @@ def _main(argv) -> int:
         return 5
     except MStreamError as e:  # causality, type, shape and other errors
         print(f"mstream: {e}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        # only the parsers' bracket rules recurse, once per level of
-        # parentheses in a program or of brackets in a term literal; no
-        # pass recurses on the length of a program
-        print("mstream: the program is nested too deeply (Python's "
-              "recursion limit was reached)", file=sys.stderr)
         return 3
     for line in lines:
         print(line)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from math import inf
 from typing import Optional, Union
 
 from .errors import CausalityError, ElaborationError, ParseError, TermTypeError
@@ -213,66 +214,53 @@ class _Parser(_TokenParser):
     # -- expressions --------------------------------------------------------
 
     def expr(self):
-        """``a fby b fby c`` is ``a fby (b fby c)``."""
-        es, fbys = [self.add_expr()], []
-        while self.peek().kind == "name" and self.peek().text == "fby":
-            fbys.append(self.next())
-            es.append(self.add_expr())
-        e = es.pop()
-        for t in reversed(fbys):
-            e = BinOp("fby", es.pop(), e, (t.line, t.col))
-        return e
-
-    def add_expr(self):
-        e = self.mul_expr()
+        """By operator precedence (``_LEVEL``).  Each open ``(`` or ``wait(``
+        pushes a frame; ``vals`` holds its items so far, then operands."""
+        frames, vals, ops = [], [], []
         while True:
+            while self.at_op("-"):
+                ops.append((_NEG, self.next()))
             t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.next()
-                e = BinOp(t.text, e, self.mul_expr(), (t.line, t.col))
-            else:
-                return e
-
-    def mul_expr(self):
-        e = self.unary()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text == "*":
-                self.next()
-                e = BinOp("*", e, self.unary(), (t.line, t.col))
-            else:
-                return e
-
-    def unary(self):
-        minus = []
-        while self.at_op("-"):
-            minus.append(self.next())
-        e = self.atom()
-        for t in reversed(minus):
-            e = Neg(e, (t.line, t.col))
-        return e
+            if t.text in ("(", "wait"):  # only an op or a name has this text
+                if self.next().text == "wait":
+                    self.eat_op("(")
+                frames.append((t, vals, ops))
+                vals, ops = [], []
+                continue
+            vals.append(self.atom())
+            while True:  # after an operand: an operator or a closing bracket
+                # apply the operators that bind tighter than the next one,
+                # or all at the end; fby, at level 0, groups to the right
+                lvl = _LEVEL.get(self.peek().text, -1)
+                while ops and ops[-1][0] >= lvl + (lvl == 0):
+                    prec, t = ops.pop()
+                    if prec == _NEG:
+                        vals[-1] = Neg(vals[-1], (t.line, t.col))
+                    else:
+                        b = vals.pop()
+                        vals[-1] = BinOp(t.text, vals[-1], b, (t.line, t.col))
+                if lvl >= 0:
+                    ops.append((lvl, self.next()))
+                    break
+                if not frames:
+                    return vals[0]
+                t = frames[-1][0]
+                if t.text == "(" and self.try_op(","):
+                    break
+                self.eat_op(")")
+                pos = (t.line, t.col)
+                e = (WaitCall(vals[0], pos) if t.text == "wait"
+                     else Paren(vals[0], pos) if len(vals) == 1
+                     else TupleExpr(tuple(vals), pos))
+                _, vals, ops = frames.pop()
+                vals.append(e)
 
     def atom(self):
         t = self.peek()
         if t.kind == "int":
             self.next()
             return IntLit(self.int_value(t), (t.line, t.col))
-        if t.kind == "op" and t.text == "(":
-            self.next()
-            items = [self.expr()]
-            while self.try_op(","):
-                items.append(self.expr())
-            self.eat_op(")")
-            if len(items) == 1:
-                return Paren(items[0], (t.line, t.col))
-            return TupleExpr(tuple(items), (t.line, t.col))
         if t.kind == "name":
-            if t.text == "wait":
-                self.next()
-                self.eat_op("(")
-                inner = self.expr()
-                self.eat_op(")")
-                return WaitCall(inner, (t.line, t.col))
             if t.text == "unif":
                 self.next()
                 return self.unif_args((t.line, t.col))
@@ -303,6 +291,12 @@ class _Parser(_TokenParser):
             vals.append(self.signed_int())
         self.eat_op(")")
         return UnifCall(tuple(vals), "call", pos)
+
+
+#: ``fby`` binds loosest and to the right (``a fby b fby c`` is
+#: ``a fby (b fby c)``), ``+ - *`` to the left, and unary minus tightest.
+_LEVEL = {"fby": 0, "+": 1, "-": 1, "*": 2}
+_NEG = 3
 
 
 def parse(src: str) -> Program:
@@ -358,9 +352,6 @@ def _fold(nodes, f):
 # ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------
-
-_LEVEL = {"fby": 0, "+": 1, "-": 1, "*": 2}
-
 
 def _pe(e, d, *kids):
     """``(text, level)`` of ``e`` whose operands print as ``kids``; an
@@ -691,7 +682,7 @@ class _Elab:
                 return (seq(par(ta, tb), Gen(_OPS[e.op], d)), ua + ub,
                         (WireType(INT, d),))
             # Every value sits at its demand, so the second slot is a tick
-            # late exactly when _delayed raised its demand: an fby box then
+            # late exactly when _later raised its demand: an fby box then
             # takes it as is (for a recursive use, the fed-back wire), and
             # otherwise a register delays the same-tick value internally.
             # The two encodings agree observationally.
@@ -729,20 +720,30 @@ class _Elab:
                     tuple(w for _, _, outs in kids for w in outs))
         raise ElaborationError(f"unknown expression node {e!r}")
 
-    def _delayed(self, e, d, scc):
-        """Whether the second slot ``e`` of an fby at demand ``d`` is read a
-        tick later: when it uses ``scc``, or some leaf has no value at d."""
-        return any(k < 0 or isinstance(x, Ident)
-                   and (x.name in scc or k < self.delays[x.name])
-                   for x, k, _ in _walk(e, d))
+    def _later(self, e, scc):
+        """``later(x, d)`` for walking ``e``: the demand of the second slot of
+        the fby ``x`` at demand d, one more when a node of it has no value at
+        d (a use of ``scc`` has none).  ``slack[id(n)]`` is the least demand
+        less need in n's subtree, less n's own demand."""
+        slack = {}
+
+        def note(x, d, *kids):
+            lo = min((d, *kids))
+            if type(x) is Ident:
+                lo = -inf if x.name in scc else d - self.delays[x.name]
+            slack[id(x)] = lo - d
+            return lo
+
+        _fold(_walk(e), note)
+        return lambda x, d: d + (d + slack[id(x.rhs)] < 0)
 
     # definitions -----------------------------------------------------------
 
     def define(self, name, scc, env, after):
         """One step from ``env`` to the wires of ``name`` followed by the
         blocks still read after SCC ``after``, and the env after it."""
-        nodes = _walk(self.exprs[name], 0,
-                      lambda x, d: d + self._delayed(x.rhs, d, scc))
+        e = self.exprs[name]
+        nodes = _walk(e, 0, self._later(e, scc))
         t, uses, outs = _fold(nodes, partial(self.node, scc))
         self.wires[name, False] = outs
         keep = [b for b in env if self.last[b[0][0]] > after]

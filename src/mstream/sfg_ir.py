@@ -690,11 +690,6 @@ def _tokenize(src: str) -> list:
             i += 1
             col += 1
             continue
-        if c == ";":
-            toks.append(_Tok("nl", ";", line, col))
-            i += 1
-            col += 1
-            continue
         if c.isdecimal():
             j = i
             while j < n and src[j].isdecimal():
@@ -721,7 +716,7 @@ def _tokenize(src: str) -> list:
                 depth += 1
             elif c in ")}]":
                 depth = max(0, depth - 1)
-            toks.append(_Tok("op", c, line, col))
+            toks.append(_Tok("nl" if c == ";" else "op", c, line, col))
             i += 1
             col += 1
             continue
@@ -862,15 +857,36 @@ class _TermReader(_TokenParser):
         return tuple(out)
 
     def term(self) -> Term:
-        t = self.next()
-        if t.kind != "name":
-            self.fail("expected a term", t)
-        kw = t.text
-        if kw in _PAIR_TERMS and self.try_op("("):
-            a = self.closed(self.term, ",")
-            return _PAIR_TERMS[kw](a, self.closed(self.term, ")"))
-        if kw == "delay" and self.try_op("("):
-            return DelayTerm(self.closed(self.term, ")"))
+        """A term, on a stack of ``(symbol due next, what to build)`` per
+        open ``seq(``, ``par(``, ``delay(`` or ``fbk[..](``."""
+        frames = []
+        while True:
+            t = self.next()
+            if t.kind != "name":
+                self.fail("expected a term", t)
+            kw = t.text
+            if kw in _PAIR_TERMS and self.try_op("("):
+                frames.append((",", _PAIR_TERMS[kw]))
+            elif kw == "delay" and self.try_op("("):
+                frames.append((")", DelayTerm))
+            elif kw == "fbk" and self.try_op("["):
+                s = self.closed(self.wire_list, "]")
+                frames.append((")", partial(Fbk, s)))
+                self.eat_op("(")
+            else:
+                u = self.leaf(kw)
+                while frames:
+                    symbol, make = frames.pop()
+                    self.eat_op(symbol)
+                    if symbol == ",":  # the first operand of seq or par
+                        frames.append((")", partial(make, u)))
+                        break
+                    u = make(u)
+                else:
+                    return u
+
+    def leaf(self, kw) -> Term:
+        """The term that starts with the name ``kw`` and nests no term."""
         if kw == "const" and self.try_op("("):
             v = self.closed(self.value, ":")
             return Const(v, self.closed(self.base, ")"), self.at_delay())
@@ -881,10 +897,6 @@ class _TermReader(_TokenParser):
         if kw == "sym" and self.try_op("["):
             a = self.closed(self.wire_list, "|")
             return Sym(a, self.closed(self.wire_list, "]"))
-        if kw == "fbk" and self.try_op("["):
-            s = self.closed(self.wire_list, "]")
-            self.eat_op("(")
-            return Fbk(s, self.closed(self.term, ")"))
         if kw == "id" and not (self.at_op("{") or self.at_op("@")):
             return Id(())
         args = self.value_set() if self.try_op("{") else ()

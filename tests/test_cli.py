@@ -514,8 +514,7 @@ def test_main_lifts_the_digit_limit_only_while_it_runs(tmp_path, capsys):
 
 def deep_program(tmp_path, terms, parenthesised=False):
     """``main = 1 + 1 + ... + 1``: ``terms`` nested additions, or with
-    ``parenthesised`` ``1 + (1 + (... + 1))``, where the parser also
-    recurses once per term."""
+    ``parenthesised`` ``(1 + (1 + (... + 1)))``, one bracket per term."""
     src = tmp_path / "deep.ms"
     if parenthesised:
         body = " + ".join(["(1"] * terms) + ")" * terms
@@ -586,17 +585,42 @@ def test_1200_definition_chain_written_main_first_runs(tmp_path, capsys):
     assert sys.getrecursionlimit() == limit
 
 
-# the parser's bracket rules recurse, once per level of parentheses
-@pytest.mark.parametrize("cmd, terms", [("run", 300), ("run", 1200),
-                                        ("check", 300), ("check", 1200)])
-def test_deeply_nested_program_exits_3(tmp_path, cmd, terms):
+@pytest.mark.parametrize("terms", [300, 1200, 10 ** 4])
+def test_deeply_nested_program_runs(tmp_path, capsys, terms):
+    """Brackets are read on an explicit stack, so they nest to any depth."""
+    limit = sys.getrecursionlimit()
     src = deep_program(tmp_path, terms, parenthesised=True)
-    argv = [cmd, src] + ([src] if cmd == "check" else [])
-    p = mstream_proc(*argv)
-    assert p.returncode == 3
-    assert p.stdout == ""
-    assert p.stderr.startswith("mstream: the program is nested too deeply")
-    assert "Traceback" not in p.stderr
+    code, out, err = cli(capsys, "run", src, "--steps", "1")
+    assert (code, err) == (0, "") and out_values(out) == [terms] * 2
+    code, out, err = cli(capsys, "exact", src, "--steps", "1")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["dist"] for line in out.splitlines()] \
+        == [{str(terms): "1/1"}] * 2
+    code, out, err = cli(capsys, "check", src, src, "--horizon", "1")
+    assert (code, err, json.loads(out)) \
+        == (0, "", {"equal": True, "horizon": 1})
+    assert sys.getrecursionlimit() == limit
+
+
+def test_deeply_nested_inputs_line_exits_2(tmp_path):
+    inputs = tmp_path / "deep.jsonl"
+    inputs.write_text("[1]\n" + "[" * 10 ** 5 + "\n")
+    p = mstream_proc("run", RUNNING_SUM, "--steps", "1",
+                     "--inputs", str(inputs))
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr == ("mstream: syntax error: 2:1: inputs: arrays nested "
+                        "too deeply\n")
+
+
+@pytest.mark.parametrize("row", ["[[1]]", '["a"]', "[1.5]"])
+def test_input_value_that_no_wire_carries_exits_3(tmp_path, row):
+    inputs = tmp_path / "bad.jsonl"
+    inputs.write_text(f"[1]\n{row}\n")
+    p = mstream_proc("run", RUNNING_SUM, "--steps", "1",
+                     "--inputs", str(inputs))
+    assert (p.returncode, p.stdout) == (3, "")
+    assert p.stderr == ("mstream: inputs line 2: each value must be an "
+                        "integer, true, false or null\n")
 
 
 def bad_files(tmp_path):

@@ -184,6 +184,24 @@ def test_chained_negation_prints_without_brackets():
         assert pretty_program(parse(src)) == src
 
 
+def test_parse_inverts_pretty_program_at_10000_deep_brackets():
+    """Texts are compared: ``==`` on 10⁴-deep ASTs would recurse."""
+    limit = sys.getrecursionlimit()
+    n = 10 ** 4
+    src = "\n".join([
+        "a = " + "1 + (" * n + "1" + ")" * n,
+        "b = " + "(" * n + "1" + " * 2)" * n,
+        "c = " + "wait(" * n + "a" + ")" * n,
+        "d = " + "(1, " * n + "1" + ")" * n,
+        "e = " + "-(" * n + "1" + ")" * n,
+        "main = " + "0 fby (" * n + "1" + ")" * n,
+    ]) + "\n"
+    text = pretty_program(parse(src))
+    assert text == src
+    assert pretty_program(parse(text)) == text
+    assert sys.getrecursionlimit() == limit
+
+
 def test_pretty_expr_inserts_needed_parens():
     e = BinOp("+", BinOp("fby", IntLit(1), IntLit(2)), IntLit(3))
     assert pretty_expr(e) == "(1 fby 2) + 3"
@@ -492,6 +510,38 @@ def random_det_program(rng):
     lines += [f"{n} = {expr(i)}" for i, n in enumerate(names)]
     values = {x: [rng.randint(-3, 3) for _ in range(10)] for x, _ in inputs}
     return "\n".join(lines) + "\n", values
+
+
+def test_parse_returns_a_program_or_raises_parse_error():
+    """Seeded edits of random programs: every one parses to a program whose
+    text reads back to the same text, or raises ParseError."""
+    rng = random.Random(2024)
+    extra = "-+*(),;:@{}=.0123456789 \nabcdfbywaitunif_²"
+    corpus = []
+    for _ in range(400):
+        src, _ = random_det_program(rng)
+        for _ in range(6):
+            i = rng.randrange(len(src) + 1)
+            c = rng.choice(src + extra)
+            edit = rng.randrange(3)
+            if edit == 0:
+                corpus.append(src[:i] + c + src[i:])
+            elif edit == 1:
+                corpus.append(src[:i] + src[i + 1:])
+            else:
+                corpus.append(src[:i] + c + src[i + 1:])
+    assert len(corpus) >= 2000
+    parsed = 0
+    for src in corpus:
+        try:
+            p = parse(src)
+        except ParseError:
+            continue
+        assert isinstance(p, Program), src
+        text = pretty_program(p)
+        assert pretty_program(parse(text)) == text, src
+        parsed += 1
+    assert 0 < parsed < len(corpus)
 
 
 def test_elaboration_agrees_with_reference_evaluator():

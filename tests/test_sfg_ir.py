@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,24 @@ def test_read_term_round_trip_on_random_terms():
     for s in range(100):
         t = random_term(FIN, 9, seed=map_seed(s))
         assert read_term(pretty(t)) == t
+
+
+def test_read_term_inverts_pretty_on_10000_deep_nests():
+    """Texts are compared: ``==`` on 10⁴-deep terms would recurse."""
+    limit = sys.getrecursionlimit()
+    n = 10 ** 4
+    leaf = Gen("neg", 0)
+    nests = [seq(*[leaf] * n), par(*[leaf] * n)]  # nested to the left
+    for wrap in (partial(Seq, leaf), partial(Par, leaf),
+                 partial(Fbk, (W1,)), DelayTerm):
+        t = leaf
+        for _ in range(n):
+            t = wrap(t)
+        nests.append(t)
+    for t in nests:
+        text = pretty(t)
+        assert pretty(read_term(text)) == text
+    assert sys.getrecursionlimit() == limit
 
 
 def map_seed(s):
