@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, lcm
 from operator import itemgetter
@@ -116,7 +116,11 @@ class IntRange(Base):
 
 @dataclass(frozen=True)
 class FinSet(Base):
+    """A finite set of values. Membership and equality compare each value's
+    type as well, through ``value_key``: ``{0,1}`` holds neither ``true``
+    nor ``false``, and it is not the set ``{false,true}``."""
     values: tuple
+    keys: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = tuple(self.values)
@@ -127,9 +131,10 @@ class FinSet(Base):
         if not all(is_value(v) for v in vals):
             raise ValueError("FinSet entries must be values")
         object.__setattr__(self, "values", tuple(sorted(vals, key=value_key)))
+        object.__setattr__(self, "keys", frozenset(map(value_key, vals)))
 
     def contains(self, v):
-        return v in self.values
+        return is_value(v) and value_key(v) in self.keys
 
     def enumerate(self):
         return self.values
@@ -412,24 +417,37 @@ def _getter(idx):
 def _flatten(k: Kernel) -> Callable[[Row], Dist]:
     """Lower ``k`` to one program and return its rule.
 
-    A backward liveness pass drops every op whose outputs nothing reads
-    (exact, because every row of a leaf sums to 1) and finds the slots each
-    later op still reads. The kept ops are cut after each stochastic op into
-    segments. The rule carries a table from rows of live slots to masses
-    through the segments: each entry runs the segment's pure ops on its own
-    short slot list, branches over the rows of the stochastic op, and each
-    branch is projected onto the slots still read after it, so branches that
-    agree there merge into one entry (a mass that ``is ONE`` multiplies
-    nothing). Pure ops never add entries, so the table before each stochastic
-    op is as small as merging after every op would make it, and the last
-    projection, onto the output slots, is the row's one :class:`Dist`.
+    Every pure op that reads no stochastic op's output, directly or through
+    other ops, first moves ahead of the first stochastic op, the order being
+    otherwise kept. Each slot is written once, so the program computes the
+    same rows, and those ops run once per input row, not once per table
+    entry. A backward liveness pass then drops every op whose outputs
+    nothing reads (exact, because every row of a leaf sums to 1) and finds
+    the slots each later op still reads. The kept ops are cut after each
+    stochastic op into segments. The rule carries a table from rows of live
+    slots to masses through the segments: each entry runs the segment's
+    pure ops on its own short slot list, branches over the rows of the
+    stochastic op, and each branch is projected onto the slots still read
+    after it, so branches that agree there merge into one entry (a mass
+    that ``is ONE`` multiplies nothing). Pure ops never add entries, so the
+    table before each stochastic op is as small as merging after every op
+    would make it, and the last projection, onto the output slots, is the
+    row's one :class:`Dist`.
     """
     n_in = len(k.in_shape)
     prog = _Program(n_in)
     outs = k.lower(prog, tuple(range(n_in)))
+    early, late, drawn = [], [], set()
+    for op in prog.ops:
+        fn, ins, lo, hi, det = op
+        if det and drawn.isdisjoint(ins):
+            early.append(op)
+        else:
+            late.append(op)
+            drawn.update(range(lo, hi))
     live = set(outs)
     kept = []
-    for fn, ins, lo, hi, det in reversed(prog.ops):
+    for fn, ins, lo, hi, det in reversed(early + late):
         if not live.isdisjoint(range(lo, hi)):
             after = tuple(sorted(live)) if not det else None
             live.difference_update(range(lo, hi))

@@ -353,42 +353,64 @@ def _fold(nodes, f):
 # Pretty-printer
 # ---------------------------------------------------------------------------
 
-def _pe(e, d, *kids):
-    """``(text, level)`` of ``e`` whose operands print as ``kids``; an
-    operand is bracketed when its level is below the one its slot needs."""
-    def slot(kid, ctx):
-        return "(" + kid[0] + ")" if kid[1] < ctx else kid[0]
+def pretty_expr(e: Expr) -> str:
+    """The text of ``e``, joined from pieces that one walk over an explicit
+    stack emits, so printing is linear. The stack holds closing text and
+    ``(node, level its slot needs)``; an operand whose level is below its
+    slot's is bracketed."""
+    out, todo = [], [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            piece = item
+        else:
+            x, ctx = item
+            kind = type(x)
+            lvl = (_LEVEL[x.op] if kind is BinOp else _NEG if kind is Neg
+                   else 4)
+            if lvl < ctx:
+                piece = "("
+                todo += (")", (x, 0))
+            elif kind is BinOp:
+                if x.op == "fby":
+                    todo += ((x.rhs, 0), " fby ", (x.lhs, 1))
+                else:
+                    todo += ((x.rhs, lvl + 1), f" {x.op} ", (x.lhs, lvl))
+                continue
+            elif kind is Neg:
+                piece = "-"
+                todo.append((x.expr, _NEG))
+            elif kind is WaitCall or kind is Paren:
+                piece = "wait(" if kind is WaitCall else "("
+                todo += (")", (x.expr, 0))
+            elif kind is TupleExpr:
+                piece = "("
+                todo.append(")")
+                for i in reversed(range(len(x.items))):
+                    todo.append((x.items[i], 0))
+                    if i:
+                        todo.append(", ")
+            else:
+                piece = _leaf_text(x)
+        if piece[0] == "-" and out and out[-1] == "-":
+            out[-1] = "- "  # a space keeps "- -1" from reading as a comment
+        out.append(piece)
+    return "".join(out)
 
+
+def _leaf_text(e) -> str:
     if isinstance(e, IntLit):
-        return str(e.value), 4
+        return str(e.value)
     if isinstance(e, Ident):
-        return e.name, 4
-    if isinstance(e, Neg):  # a space keeps "- -1" from reading as a comment
-        s = slot(kids[0], 3)
-        return ("- " if s[0] == "-" else "-") + s, 3
-    if isinstance(e, BinOp):
-        lvl = _LEVEL[e.op]
-        if e.op == "fby":
-            return slot(kids[0], 1) + " fby " + kids[1][0], lvl
-        return slot(kids[0], lvl) + f" {e.op} " + slot(kids[1], lvl + 1), lvl
-    if isinstance(e, WaitCall):
-        return "wait(" + kids[0][0] + ")", 4
+        return e.name
     if isinstance(e, UnifCall):
         inner = ", ".join(str(v) for v in e.args)
         if e.form == "set":
-            return "unif{" + inner + "}", 4
+            return "unif{" + inner + "}"
         if e.form == "range":
-            return f"unif({e.args[0]}..{e.args[1]})", 4
-        return "unif(" + inner + ")", 4
-    if isinstance(e, TupleExpr):
-        return "(" + ", ".join(s for s, _ in kids) + ")", 4
-    if isinstance(e, Paren):
-        return "(" + kids[0][0] + ")", 4
+            return f"unif({e.args[0]}..{e.args[1]})"
+        return "unif(" + inner + ")"
     raise ElaborationError(f"unknown expression node {e!r}")
-
-
-def pretty_expr(e: Expr) -> str:
-    return _fold(_walk(e), _pe)[0]
 
 
 def _wire_str(w: WireType) -> str:

@@ -400,9 +400,23 @@ def _delayed(s: Stream, d: int) -> Stream:
 
 
 def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local name
-    """Structural compilation of a checked term to a stream process."""
+    """Structural compilation of a checked term to a stream process.
+
+    Equal subterms compile to one shared stream per call. A memo local to
+    the call keys a leaf by the leaf term, and a composite by its kind, the
+    streams its children compiled to and, for ``fbk``, its loop wires.
+    """
     infer_type(t, sig)
-    return fold(t, partial(_compile, sig))
+    memo = {}
+
+    def shared(u, *kids):
+        key = (type(u), getattr(u, "s", None), *map(id, kids)) if kids else u
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = _compile(sig, u, *kids)
+        return s
+
+    return fold(t, shared)
 
 
 _STREAMS = {Id: identity, Copy: copy_stream, Discard: discard_stream,
@@ -624,14 +638,28 @@ def _wires_str(ws: Wires) -> str:
 
 
 def pretty(t: Term) -> str:
-    return fold(t, _show)
+    """The text of ``t``, joined from pieces that one walk over an explicit
+    stack of nodes and closing text emits, so printing is linear."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        kind = type(u)
+        if kind is str:
+            out.append(u)
+        elif kind is Seq or kind is Par:
+            out.append(_KEYWORDS[kind] + "(")
+            todo += (")", u.snd, ", ", u.fst)
+        elif kind is Fbk or kind is DelayTerm:
+            out.append(f"fbk[{_wires_str(u.s)}](" if kind is Fbk else "delay(")
+            todo += (")", u.body)
+        else:
+            out.append(_show(u))
+    return "".join(out)
 
 
-def _show(t: Term, a=None, b=None) -> str:
-    """The text of node ``t`` whose children print as ``a`` and ``b``."""
+def _show(t: Term) -> str:
+    """The text of the leaf ``t``."""
     kw = _KEYWORDS.get(type(t))
-    if kw in _PAIR_TERMS:
-        return f"{kw}({a}, {b})"
     if kw in _WIRE_TERMS:
         return f"{kw}[{_wire_str(t.w)}]"
     if kw in _WIRES_TERMS:
@@ -643,10 +671,6 @@ def _show(t: Term, a=None, b=None) -> str:
         return f"const({value_str(t.value)}:{t.base!r})@{t.delay}"
     if isinstance(t, Sym):
         return f"sym[{_wires_str(t.a)}|{_wires_str(t.b)}]"
-    if isinstance(t, Fbk):
-        return f"fbk[{_wires_str(t.s)}]({a})"
-    if isinstance(t, DelayTerm):
-        return f"delay({a})"
     raise TermTypeError(f"not a term: {t!r}")
 
 

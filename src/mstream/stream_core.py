@@ -16,14 +16,16 @@ A tick kernel is not evaluated as the tree it was composed as. On its first
 slot file (``kernel._flatten``): copies, discards, swaps and the buffer
 tails resolve to slot maps and emit no op, deterministic generators become
 pure ops, and every other leaf becomes one op that branches over the rows
-of its own ``dist``. A liveness pass drops the ops whose outputs nothing
-reads. Each input row is then evaluated forward over a table from the
-values of the slots still read to their masses: each stochastic op expands
-every entry by its rows, and entries that agree on the slots read later
-merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths. Each
-row builds one :class:`Dist`, so a deterministic tick builds one. Only the
-evaluated kernel holds a cache, and that cache is cleared when it reaches
-``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
+of its own ``dist``. The pure ops that read no draw, directly or through
+other ops, move ahead of the first draw, so they run once per input row
+rather than once per branch. A liveness pass drops the ops whose outputs
+nothing reads. Each input row is then evaluated forward over a table from
+the values of the slots still read to their masses: each stochastic op
+expands every entry by its rows, and entries that agree on the slots read
+later merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths.
+Each row builds one :class:`Dist`, so a deterministic tick builds one. Only
+the evaluated kernel holds a cache, and that cache is cleared when it
+reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with

@@ -623,6 +623,50 @@ def test_input_value_that_no_wire_carries_exits_3(tmp_path, row):
                         "integer, true, false or null\n")
 
 
+def test_true_is_not_an_input_of_an_integer_set(tmp_path, capsys):
+    """A kernel caches rows by value, and ``(True,) == (1,)``: a row of
+    ``true`` on a ``{0,1}`` wire would be served for ``1`` later on."""
+    prog = tmp_path / "bit.ms"
+    prog.write_text("input x : {0,1}\nmain = x\n")
+    inputs = tmp_path / "bits.jsonl"
+    inputs.write_text("[true]\n[1]\n")
+    argv = ["run", str(prog), "--steps", "1", "--inputs", str(inputs)]
+    assert cli(capsys, *argv) == (
+        3, "", "mstream: tick 0: input (True,) does not fit ({0,1},)\n")
+    inputs.write_text("[1]\n[0]\n")
+    code, out, _ = cli(capsys, *argv)
+    assert (code, out_values(out)) == (0, [1, 0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "const(true:{0,1})@0", "const(1:{0,1})@0"],
+    ["run", "par(const(true:{0,1})@0, const(1:{0,1})@0)"],
+])
+def test_true_is_not_a_constant_of_an_integer_set(capsys, argv):
+    code, out, err = cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("mstream: constant true is not a {0,1} value")
+
+
+def test_sets_of_equal_values_of_other_types_stay_apart(tmp_path, capsys):
+    """``{0,1}`` and ``{false,true}`` are different types, so equal-looking
+    wiring leaves over them do not compile to one shared stream, and ``{0,true}``
+    holds exactly ``0`` and ``true``."""
+    inputs = tmp_path / "mixed.jsonl"
+    inputs.write_text("[0, true]\n[1, false]\n")
+    code, out, _ = cli(capsys, "run", "par(id[{0,1}@0], id[{false,true}@0])",
+                       "--steps", "1", "--inputs", str(inputs))
+    assert (code, [json.loads(line)["out"] for line in out.splitlines()]) \
+        == (0, [[0, True], [1, False]])
+    code, _, err = cli(capsys, "run", "seq(id[{0,1}@0], id[{false,true}@0])")
+    assert code == 3 and err.startswith("mstream: cannot compose")
+    code, out, _ = cli(capsys, "run", "par(const(true:{0,true})@0, "
+                       "const(0:{0,true})@0)", "--steps", "0")
+    assert (code, out) == (0, '{"t": 0, "out": [true, 0]}\n')
+    code, _, err = cli(capsys, "run", "const(1:{0,true})@0")
+    assert code == 3 and "constant 1 is not a {true,0} value" in err
+
+
 def bad_files(tmp_path):
     """(argv, path) for each file the CLI must refuse with exit 2: a missing
     inputs file, a directory, and an inputs file and a program that are not

@@ -154,6 +154,18 @@ def test_finset_sorts_canonically():
     assert s.smallest() is True
 
 
+def test_finset_compares_types_as_well_as_values():
+    s = FinSet((0, True))
+    assert [v for v in (0, 1, False, True, None, (0,)) if s.contains(v)] \
+        == [0, True]
+    assert not FinSet((0, 1)).contains(True)
+    assert FinSet(((1,), 2)).contains((1,))
+    assert not FinSet(((1,), 2)).contains((True,))
+    assert FinSet((0, 1)) != FinSet((False, True))
+    assert FinSet((1, 0)) == FinSet((0, 1))
+    assert hash(FinSet((1, 0))) == hash(FinSet((0, 1)))
+
+
 def test_int_base_not_enumerable():
     assert INT.contains(10**30)
     with pytest.raises(NotEnumerable):
@@ -175,6 +187,27 @@ def test_compose_coin_then_increment():
     inc = det_kernel((IntRange(0, 1),), (IntRange(1, 2),), lambda r: (r[0] + 1,))
     k = kernel_compose(COIN, inc)
     assert k.dist(()) == Dist({(1,): F(1, 2), (2,): F(1, 2)})
+
+
+def test_draw_free_pure_ops_run_before_the_draw():
+    """``inc`` reads no draw, so it runs once per row although the coin
+    drawn before it branches twice; ``add`` reads the draw and runs once
+    per branch."""
+    calls = []
+
+    def counted(name, fn):
+        def run(row):
+            calls.append(name)
+            return fn(row)
+        return run
+
+    i2 = IntRange(0, 2)
+    inc = det_kernel((i2,), (i2,), counted("inc", lambda r: (r[0] + 1,)))
+    add = det_kernel((i2, i2), (i2,), counted("add", lambda r: (r[0] + r[1],)))
+    coin = dist_source(uniform([0, 1]), i2)
+    k = kernel_compose(kernel_tensor(coin, inc), add)
+    assert k.dist((1,)) == Dist({(2,): F(1, 2), (3,): F(1, 2)})
+    assert sorted(calls) == ["add", "add", "inc"]
 
 
 def test_compose_shape_mismatch():

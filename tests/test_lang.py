@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -200,6 +201,17 @@ def test_parse_inverts_pretty_program_at_10000_deep_brackets():
     assert text == src
     assert pretty_program(parse(text)) == text
     assert sys.getrecursionlimit() == limit
+
+
+def test_pretty_program_is_linear_in_nest_depth():
+    n = 8 * 10 ** 4
+    src = ("a = " + "1 + (" * n + "1" + ")" * n + "\n"
+           + "main = " + "0 fby " * n + "a\n")
+    p = parse(src)
+    start = time.perf_counter()
+    text = pretty_program(p)
+    assert time.perf_counter() - start < 3
+    assert text == src
 
 
 def test_pretty_expr_inserts_needed_parens():

@@ -1,13 +1,14 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from mstream.errors import ParseError, TermTypeError
+from mstream.errors import MStreamError, ParseError, TermTypeError
 from mstream.kernel import (
     BOOL,
     INT,
@@ -15,6 +16,7 @@ from mstream.kernel import (
     FinSet,
     IntRange,
     Kernel,
+    _Program,
     marginalize,
 )
 from mstream.lang import elaborate, parse
@@ -34,10 +36,12 @@ from mstream.sfg_ir import (
     Term,
     Wait,
     WireType,
+    _compile,
     alive,
     compile as compile_term,
     default_signature,
     finite_signature,
+    fold,
     infer_type,
     is_stochastic,
     node_count,
@@ -45,11 +49,19 @@ from mstream.sfg_ir import (
     perm_term,
     pretty,
     random_term,
+    random_term_of_type,
     read_term,
     seq,
     wires_to_seq,
 )
-from mstream.stream_core import ShapeSeq, obs_equal, observe, run_det
+from mstream.stream_core import (
+    ShapeSeq,
+    obs_equal,
+    observe,
+    observe_marginals,
+    run_det,
+    sample_trace,
+)
 
 F = Fraction
 SIG = default_signature()
@@ -296,12 +308,12 @@ def test_ehrenfest_ir_stays_small():
         assert node_count(t) <= most, name
 
 
-@pytest.mark.parametrize("name, most", [("ehrenfest", 200), ("fib", 30)])
+@pytest.mark.parametrize("name, most", [("ehrenfest", 51), ("fib", 30)])
 def test_compile_builds_few_kernels(monkeypatch, name, most):
-    """Composition records its parts and builds no kernel: compiling a
-    program and unrolling its first tick builds the leaves' kernels and one
-    kernel per tick of the root's prefix, not one per tick of every
-    composite node."""
+    """Composition records its parts and builds no kernel, and equal
+    subterms compile once: compiling a program and unrolling its first tick
+    builds the kernels of its distinct leaves and one kernel per tick of the
+    root's prefix, not one per tick of every composite node."""
     programs = Path(__file__).resolve().parent.parent / "programs"
     t = elaborate(parse((programs / f"{name}.ms").read_text()))
     built = []
@@ -314,6 +326,108 @@ def test_compile_builds_few_kernels(monkeypatch, name, most):
     monkeypatch.setattr(Kernel, "__init__", counting)
     compile_term(t, SIG).unroll()
     assert len(built) <= most, len(built)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the engine error it raises."""
+    try:
+        return fn(*args)
+    except MStreamError as e:
+        return type(e).__name__, str(e)
+
+
+def _behaviour(s, inputs):
+    """What the evaluators make of ``s``: its deterministic run, three
+    seeded traces and its exact joint at horizon 4."""
+    def table(n):
+        return observe(s, n, cap=20_000).kernel.table()
+
+    return ([_outcome(run_det, s, inputs, 4)]
+            + [_outcome(sample_trace, s, inputs, 4, seed)
+               for seed in (1, 7, 2024)]
+            + [_outcome(table, 4)])
+
+
+def _inputs(rng, s):
+    """Five input rows for ``s``; an unbounded integer wire draws -3..3."""
+    return [tuple(rng.choice(b.enumerate()) if b.enumerable
+                  else rng.randint(-3, 3) for b in s.x.at(t))
+            for t in range(5)]
+
+
+def _terms_with_shared_subterms():
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    for path in sorted(programs.glob("*.ms")):
+        yield SIG, elaborate(parse(path.read_text()))
+    rng = random.Random(17)
+    for _ in range(400):
+        iw = tuple(WireType(rng.choice((BOOL, IntRange(0, 2))),
+                            rng.randrange(2)) for _ in range(rng.randrange(2)))
+        ow = tuple(WireType(rng.choice((BOOL, IntRange(0, 2))),
+                            rng.randrange(2))
+                   for _ in range(rng.randint(1, 2)))
+        t = random_term_of_type(rng, FIN, iw, ow, rng.randint(3, 9))
+        yield FIN, Par(t, t) if rng.random() < 0.25 else t
+
+
+def test_memoized_compile_behaves_as_the_plain_fold():
+    """Sharing one stream among equal subterms changes no output: the
+    memoized ``compile`` against the unshared fold of ``_compile``."""
+    rng = random.Random(4)
+    for sig, t in _terms_with_shared_subterms():
+        shared = compile_term(t, sig)
+        plain = fold(t, partial(_compile, sig))
+        inputs = _inputs(rng, plain)
+        assert _behaviour(shared, inputs) == _behaviour(plain, inputs), \
+            pretty(t)
+
+
+def _streams(s):
+    """Every stream object in the composition tree of ``s``."""
+    seen, todo = {}, [s]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            todo += u._parts
+    return seen
+
+
+def test_equal_subterms_share_one_stream_per_compile():
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    t = elaborate(parse((programs / "ehrenfest.ms").read_text()))
+    a, b = compile_term(t, SIG), compile_term(t, SIG)
+    assert len(_streams(a)) == len(_streams(b)) < node_count(t)
+    assert _streams(a).keys().isdisjoint(_streams(b).keys())
+    both = compile_term(Par(walk_term(), walk_term()), SIG)
+    assert both._parts[0] is both._parts[1]
+    # the two copies still draw independently
+    d = observe(both, 1).dist(())
+    assert marginalize(d, [2, 3]) == Dist({
+        (x, y): F(1, 4) for x in (-1, 1) for y in (-1, 1)})
+
+
+def test_draw_free_pure_ops_run_once_per_row(monkeypatch):
+    """Ehrenfest's tick draws two bits; the 43 pure ops that read neither
+    run once per memory row, not once for each of the 4 branches."""
+    programs = Path(__file__).resolve().parent.parent / "programs"
+    s = compile_term(elaborate(parse((programs / "ehrenfest.ms")
+                                     .read_text())), SIG)
+    runs = []
+    emit = _Program.emit
+
+    def counting(self, fn, ins, width, det):
+        if det:
+            def fn(row, fn=fn):
+                runs.append(None)
+                return fn(row)
+        return emit(self, fn, ins, width, det)
+
+    monkeypatch.setattr(_Program, "emit", counting)
+    marginals = observe_marginals(s, 8)
+    assert len(runs) <= 2600, len(runs)
+    assert marginals[8] == Dist({(0,): F(63, 512), (2,): F(3, 4),
+                                 (4,): F(65, 512)})
 
 
 def test_is_stochastic():
@@ -428,6 +542,20 @@ def test_read_term_inverts_pretty_on_10000_deep_nests():
         text = pretty(t)
         assert pretty(read_term(text)) == text
     assert sys.getrecursionlimit() == limit
+
+
+def test_pretty_is_linear_in_nest_depth():
+    """Printing joins pieces once; building each node's text from its
+    children's took 7 to 11 s on this 8·10⁴-deep right-nested ``seq``."""
+    t = Const(5, INT)
+    for _ in range(8 * 10 ** 4):
+        t = Seq(Gen("neg", 0), t)
+    start = time.perf_counter()
+    text = pretty(t)
+    assert time.perf_counter() - start < 3
+    assert text == "seq(neg@0, " * 8 * 10 ** 4 + "const(5:int)@0" \
+        + ")" * 8 * 10 ** 4
+    assert pretty(read_term(text)) == text
 
 
 def map_seed(s):
