@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from typing import Optional
 
 from .errors import (
@@ -288,7 +289,9 @@ def _common(sub, inputs=True):
                          "tick")
 
 
+@cache
 def build_parser():
+    """The parser of every command, built on first use and then reused."""
     p = argparse.ArgumentParser(
         prog="mstream",
         description="Run, sample, exactly observe, and compare synchronous "

@@ -118,7 +118,11 @@ class IntRange(Base):
 class FinSet(Base):
     """A finite set of values. Membership and equality compare each value's
     type as well, through ``value_key``: ``{0,1}`` holds neither ``true``
-    nor ``false``, and it is not the set ``{false,true}``."""
+    nor ``false``, and it is not the set ``{false,true}``.
+
+    The values must still differ under ``==``, so ``{0,false}`` and
+    ``{1,true}`` are refused: rows, kernel caches, ``Dist`` tables and the
+    compile memo compare values with ``==``, and would merge such members."""
     values: tuple
     keys: frozenset = field(init=False, repr=False)
 

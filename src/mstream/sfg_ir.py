@@ -19,9 +19,10 @@ and composites onto ``seq_comp``/``par_comp``/``fbk``/``delay``.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ParseError, ShapeMismatch, TermTypeError
 from .kernel import (
@@ -678,11 +679,17 @@ def _show(t: Term) -> str:
 # Lexer and the rules shared by term literals and ``.ms`` programs
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = "+-*(){}[],:;@=|"
+_TOKEN = re.compile(r"""
+    (?P<blank> --[^\n]* | [^\S\n]+ )  # a comment to the line's end, or blanks
+  | (?P<nl>    \n )
+  | (?P<int>   \d+ )                  # decimal digits, in any script
+  | (?P<name>  \w+ )                  # letters, digits and _; see _tokenize
+  | (?P<op>    \.\. | [-+*(){}\[\],:;@=|] )
+  | (?P<bad>   . )                    # anything else is an error
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "int" | "name" | "op" | "nl" | "eof"
     text: str
     line: int
@@ -691,61 +698,28 @@ class _Tok:
 
 def _tokenize(src: str) -> list:
     """Tokens of ``src``. ``--`` comments run to the end of the line, ``;``
-    is a newline token, and newlines inside brackets make no token."""
+    is a newline token, and newlines inside brackets make no token. A name
+    starts with a letter or ``_``, which ``\\w`` alone does not ensure: it
+    also matches digits such as ``²`` that are not decimal."""
     toks = []
-    line, col = 1, 1
-    depth = 0
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "-" and i + 1 < n and src[i + 1] == "-":
-            while i < n and src[i] != "\n":
-                i += 1
-                col += 1
+    line, start, depth = 1, 0, 0  # start: the index where the line begins
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "blank":
             continue
-        if c == "\n":
-            if depth == 0:
-                toks.append(_Tok("nl", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            toks.append(_Tok("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "." and i + 1 < n and src[i + 1] == ".":
-            toks.append(_Tok("op", "..", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _SYMBOLS:
-            if c in "({[":
-                depth += 1
-            elif c in ")}]":
-                depth = max(0, depth - 1)
-            toks.append(_Tok("nl" if c == ";" else "op", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+        text, col = m.group(), m.start() - start + 1
+        if kind == "nl":
+            if not depth:
+                toks.append(_Tok("nl", text, line, col))
+            line, start = line + 1, m.end()
+        elif kind == "bad" or kind == "name" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        else:
+            if kind == "op":
+                depth = max(0, depth + (text in "({[") - (text in ")}]"))
+            toks.append(_Tok("nl" if text == ";" else kind, text, line, col))
+    toks.append(_Tok("eof", "", line, len(src) - start + 1))
     return toks
 
 

@@ -174,7 +174,8 @@ class Stream:
     ``mem.at(0)`` glued in front of tick 0.
 
     The constructor makes a leaf, padding ``ks`` with ``tail`` up to the
-    longest shape prefix and checking each tick kernel's shapes once. A
+    longest shape prefix and checking each tick kernel's shapes once. A leaf
+    reads no memory at tick 0: ``mem.at(0)`` must be empty. A
     composite's ``n`` is the tick from which every part is stationary, and
     it builds its tick kernels on first use (:func:`_lower`).
     """
@@ -188,6 +189,9 @@ class Stream:
         self._fill(x, out_seq, mem, len(ks))
         ks = self._ks = ks + (tail,) * (self.n + 1 - len(ks))
         m = mem.at(0)
+        if m:
+            raise ShapeMismatch(f"tick 0 reads memory {m!r}; a stream starts "
+                                "with none")
         for t, k in enumerate(ks):
             m2 = mem.at(t + 1)
             want_in, want_out = m + x.at(t), m2 + out_seq.at(t)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mstream.cli import main
+from mstream.cli import build_parser, main
 from mstream.stream_core import Stream
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -36,6 +36,17 @@ def out_values(stdout):
     rows = [json.loads(line) for line in stdout.splitlines()]
     assert [r["t"] for r in rows] == list(range(len(rows)))
     return [r["out"][0] for r in rows]
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    p = build_parser()
+    assert build_parser() is p
+    a = p.parse_args(["exact", FIB, "--steps", "3", "--joint"])
+    b = p.parse_args(["exact", FIB])
+    c = p.parse_args(["check", FIB, WALK])
+    assert (a.steps, a.joint, b.steps, b.joint) == (3, True, 9, False)
+    assert (c.cmd, c.horizon, c.state_cap) == ("check", 5, None)
+    assert not hasattr(c, "joint")
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,13 @@ def test_finset_compares_types_as_well_as_values():
     assert hash(FinSet((1, 0))) == hash(FinSet((0, 1)))
 
 
+def test_finset_values_must_differ_under_eq():
+    # rows, caches, Dist tables and the compile memo compare values with ==
+    for vals in ((1, 1), (0, False), (1, True)):
+        with pytest.raises(ValueError, match="distinct"):
+            FinSet(vals)
+
+
 def test_int_base_not_enumerable():
     assert INT.contains(10**30)
     with pytest.raises(NotEnumerable):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 import sys
 import time
 from fractions import Fraction
@@ -36,7 +37,9 @@ from mstream.sfg_ir import (
     Term,
     Wait,
     WireType,
+    _TOKEN,
     _compile,
+    _tokenize,
     alive,
     compile as compile_term,
     default_signature,
@@ -629,8 +632,107 @@ def test_programs_and_term_literals_read_bases_alike():
               "int [ 5 .. 5 ]", "{-1,1}", "{2, 0, 1}", "{ - 4 }",
               "{true,false}", "{()}", "{1,(),false}"):
         assert program_base(b) == term_base(b), b
-    for b in ("int[2..1]", "{1,1}", "{1,true}", "{}", "int[0..]", "{0,}",
-              "float", "{x}"):
+    for b in ("int[2..1]", "{1,1}", "{1,true}", "{0,false}", "{}", "int[0..]",
+              "{0,}", "float", "{x}"):
         for read in (program_base, term_base):
             with pytest.raises(ParseError):
                 read(b)
+
+
+def reference_tokenize(src):
+    """The character-by-character scanner that ``_tokenize`` replaced, as
+    ``(kind, text, line, col)`` tuples."""
+    toks = []
+    line, col = 1, 1
+    depth = 0
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c == "-" and i + 1 < n and src[i + 1] == "-":
+            while i < n and src[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if c == "\n":
+            if depth == 0:
+                toks.append(("nl", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            toks.append(("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("name", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c == "." and i + 1 < n and src[i + 1] == ".":
+            toks.append(("op", "..", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "+-*(){}[],:;@=|":
+            if c in "({[":
+                depth += 1
+            elif c in ")}]":
+                depth = max(0, depth - 1)
+            toks.append(("nl" if c == ";" else "op", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def test_token_classes_agree_with_str_predicates():
+    """On every code point, the pattern's blank, digit and word classes are
+    ``str.isspace``, ``str.isdecimal`` and ``str.isalnum`` or ``_``."""
+    def want(c):
+        if c == "\n":
+            return "nl"
+        if c.isspace():
+            return "blank"
+        if c.isdecimal():
+            return "int"
+        if c.isalnum() or c == "_":
+            return "name"
+        return "op" if c in "+-*(){}[],:;@=|" else "bad"
+
+    match = _TOKEN.match
+    assert [hex(i) for i in range(sys.maxunicode + 1)
+            if match(chr(i)).lastgroup != want(chr(i))] == []
+
+
+def test_tokenize_agrees_with_the_reference_scanner():
+    def scan(scanner, text):
+        try:
+            return [tuple(t) for t in scanner(text)]
+        except ParseError as e:
+            return str(e)
+
+    pieces = list(string.printable) + [
+        "\0", "\x1c", "\x7f", "--", "..", ";", "\r", "\v", "\u3000", "²",
+        "½", "٣", "é", "Ⅻ", "𝟘"]
+    rng = random.Random(19)
+    failed = 0
+    for _ in range(20_000):
+        text = "".join(rng.choices(pieces, k=rng.randrange(20)))
+        got, want = scan(_tokenize, text), scan(reference_tokenize, text)
+        assert got == want, text
+        failed += isinstance(want, str)
+    assert 2000 < failed < 18_000

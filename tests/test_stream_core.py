@@ -329,6 +329,13 @@ def test_stream_checks_tick_kernels_at_construction():
         seq_comp(f, g)
 
 
+def test_stream_reads_no_memory_at_tick_zero():
+    k = Kernel((INT,), (INT, INT), lambda r: None)
+    with pytest.raises(ShapeMismatch, match=r"^tick 0 reads memory \(int,\)"):
+        Stream(ShapeSeq.constant(()), ShapeSeq.constant((INT,)),
+               ShapeSeq.constant((INT,)), (), k)
+
+
 def test_memoized_unroll_is_stable():
     w = walk_stream()
     assert w.unroll() is w.unroll()
