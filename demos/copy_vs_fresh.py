@@ -40,13 +40,12 @@ def main():
     print("\nstreams observationally equal at horizon 3?",
           obs_equal(a, b, 3))
 
-    # whereas a register really is fby-of-a-waited-wire, for all inputs
+    # whereas a wait really is a swap fed back one tick later, for all inputs
     w = "int[0..1]@0"
-    reg = compile_term(read_term(f"reg[{w}]"), SIG)
-    enc = compile_term(
-        read_term(f"seq(par(id[{w}], wait[{w}]), fby[{w}])"), SIG)
-    print("register == fby after re-timing, horizon 6?",
-          obs_equal(reg, enc, 6))
+    wait = compile_term(read_term(f"wait[{w}]"), SIG)
+    loop = compile_term(read_term(f"fbk[{w}](sym[int[0..1]@1|{w}])"), SIG)
+    print("wait == feedback over a swap, horizon 6?",
+          obs_equal(wait, loop, 6))
 
 
 if __name__ == "__main__":

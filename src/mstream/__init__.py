@@ -11,7 +11,7 @@ The package is layered:
   Composition, feedback, exact observation (`observe`, `obs_equal`,
   `first_difference`) and execution (`run_det`, `sample_trace`).
 - :mod:`mstream.sfg_ir` — a typed term IR of delayed wirings (generators,
-  copy/discard/sym, `fby`/`wait`/`reg` boxes, feedback) with a type
+  copy/discard/sym, `fby`/`wait` boxes, feedback) with a type
   checker, a compiler to streams, printers/readers and a random term
   generator.
 - :mod:`mstream.lang` — a small Lucid-like surface language (`fby`,
@@ -70,7 +70,6 @@ from .sfg_ir import (
     Gen,
     Id,
     Par,
-    Register,
     Seq,
     Signature,
     Sym,
@@ -106,7 +105,6 @@ from .stream_core import (
     observe,
     observe_marginals,
     par_comp,
-    register,
     run_det,
     sample_trace,
     seq_comp,
@@ -129,14 +127,14 @@ __all__ = [
     "Program", "check_causality", "elaborate", "parse", "pretty_program",
     "SplitMix64", "mix",
     "Const", "Copy", "DelayTerm", "Discard", "Fbk", "FbyBox", "Gen", "Id", "Par",
-    "Register", "Seq", "Signature", "Sym", "Term", "Wait", "WireType",
+    "Seq", "Signature", "Sym", "Term", "Wait", "WireType",
     "compile_term", "default_signature", "finite_signature", "infer_type",
     "is_stochastic", "par_term", "perm_term", "pretty", "random_term",
     "read_term", "seq_term",
     "NStageProcess", "ShapeSeq", "Stream", "copy_stream", "delay",
     "discard_stream", "fbk", "fby_box", "first_difference", "identity",
     "lift_const", "lift_seq", "obs_equal", "observe",
-    "observe_marginals", "par_comp", "register", "run_det", "sample_trace",
+    "observe_marginals", "par_comp", "run_det", "sample_trace",
     "seq_comp", "state_cap", "swap_stream", "wait_stream",
     "Value", "value_str", "value_to_json",
     "__version__",

@@ -83,7 +83,7 @@ def _read_inputs(path):
     return rows
 
 
-def _load_term(source, main, sig):
+def _load_term(source, main):
     """A .ms file elaborates as a program; anything else reads as a term."""
     if os.path.exists(source) or source.endswith(".ms"):
         return elaborate(parse(_read_text(source)), main)
@@ -91,7 +91,7 @@ def _load_term(source, main, sig):
 
 
 def _build(args, sig: Signature):
-    term = _load_term(args.source, args.main, sig)
+    term = _load_term(args.source, args.main)
     return term, compile_term(term, sig)
 
 
@@ -231,8 +231,8 @@ def cmd_check(a: str, b: str, horizon: int, main: Optional[str],
               fmt: str, cap: Optional[int]) -> tuple:
     """Returns (exit_code, lines)."""
     sig = default_signature()
-    sa = compile_term(_load_term(a, main, sig), sig)
-    sb = compile_term(_load_term(b, main, sig), sig)
+    sa = compile_term(_load_term(a, main), sig)
+    sb = compile_term(_load_term(b, main), sig)
     k, oa, ob = _compare(sa, sb, horizon, cap)
     if k is None:
         if fmt == "json":

@@ -11,7 +11,6 @@ ranges are exact, so tests compare tables with ``==`` and no tolerances.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -267,13 +266,6 @@ class Dist:
             r = out.get(w)
             out[w] = q if r is None else r + q
         return Dist(out)
-
-    def to_json(self):
-        return {value_str(v): f"{q.numerator}/{q.denominator}" for v, q in self.items()}
-
-    def to_json_str(self) -> str:
-        # items() is canonically sorted; keep that order in the object
-        return json.dumps(self.to_json())
 
 
 def dirac(v: Value) -> Dist:

@@ -30,7 +30,6 @@ from .sfg_ir import (
     FbyBox,
     Gen,
     Id,
-    Register,
     Term,
     Wait,
     WireType,
@@ -645,6 +644,12 @@ def _beside(t, ws):
     return par(t, Id(ws)) if ws else t
 
 
+def _waited(t, ws):
+    """``t`` followed by a wait on each of its output wires ``ws``, and the
+    wires it then outputs."""
+    return _seq(t, par(*(Wait(w) for w in ws))), shift_wires(ws)
+
+
 def _gather(env, picks):
     """The wiring from the blocks of ``env`` to the blocks ``picks``, in order.
 
@@ -705,13 +710,14 @@ class _Elab:
                         (WireType(INT, d),))
             # Every value sits at its demand, so the second slot is a tick
             # late exactly when _later raised its demand: an fby box then
-            # takes it as is (for a recursive use, the fed-back wire), and
-            # otherwise a register delays the same-tick value internally.
-            # The two encodings agree observationally.
+            # takes it as is (for a recursive use, the fed-back wire).
+            # An on-time second slot first goes through the waits that
+            # wait(b) elaborates to, whose feedback loops hold its memory.
+            if oa == ob:
+                tb, ob = _waited(tb, ob)
             k = len(oa)
             pairs = perm_term(oa + ob, [j for i in range(k) for j in (i, k + i)])
-            box = Register if oa == ob else FbyBox
-            return (_seq(par(ta, tb), pairs, par(*(box(w) for w in oa))),
+            return (_seq(par(ta, tb), pairs, par(*(FbyBox(w) for w in oa))),
                     ua + ub, oa)
         if isinstance(e, IntLit):
             return Const(e.value, INT, d), [], (WireType(INT, d),)
@@ -721,8 +727,7 @@ class _Elab:
             ws = self.wires[key]
             t, outs = Id(ws), ws
             for _ in range(d - ws[0].delay):
-                t = _seq(t, par(*(Wait(w) for w in outs)))
-                outs = shift_wires(outs)
+                t, outs = _waited(t, outs)
             return t, [(key, ws)], outs
         if isinstance(e, Paren):
             return kids[0]
@@ -734,8 +739,8 @@ class _Elab:
             return _seq(t, Gen("neg", d)), uses, (WireType(INT, d),)
         if isinstance(e, WaitCall):
             t, uses, outs = kids[0]
-            return (_seq(t, par(*(Wait(w) for w in outs))), uses,
-                    shift_wires(outs))
+            t, outs = _waited(t, outs)
+            return t, uses, outs
         if isinstance(e, TupleExpr):
             return (par(*(t for t, _, _ in kids)),
                     [u for _, uses, _ in kids for u in uses],
@@ -800,7 +805,7 @@ def elaborate(p: Program, main: Optional[str] = None) -> Term:
     blocks still read later, and discards the rest; the expression's own
     term maps its blocks to its value.  Each recursive group becomes one
     ``Fbk``; every recursive use at delay d reads the fed-back wire through
-    d−1 waits; non-recursive ``a fby b`` becomes a register.
+    d−1 waits; an ``a fby b`` whose ``b`` is on time reads ``wait(b)``.
     """
     an = check_causality(p)
     el = _Elab(an)

@@ -12,8 +12,9 @@ value, base and delay rules are the ones ``lang`` parses programs with.
 Compilation maps each node onto one ``stream_core`` primitive: wiring
 leaves onto ``identity``/``swap_stream``/``copy_stream``/``discard_stream``,
 generators, constants and buffers at delay ``d`` onto ``d`` applications of
-``delay`` around ``lift_const``/``fby_box``/``wait_stream``/``register``,
-and composites onto ``seq_comp``/``par_comp``/``fbk``/``delay``.
+``delay`` around ``lift_const``/``fby_box``/``wait_stream``, and composites
+onto ``seq_comp``/``par_comp``/``fbk``/``delay``. A wait is feedback over a
+swap, so compiled streams keep memory only in ``fbk`` nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ParseError, ShapeMismatch, TermTypeError
+from .errors import ParseError, TermTypeError
 from .kernel import (
     BOOL,
     INT,
@@ -50,7 +51,6 @@ from .stream_core import (
     identity,
     lift_const,
     par_comp,
-    register,
     seq_comp,
     swap_stream,
     wait_stream,
@@ -100,17 +100,8 @@ def wires_to_seq(ws: Wires) -> ShapeSeq:
 class GenSpec:
     """A named one-tick generator: kernel applied at every live tick."""
     name: str
-    in_bases: Shape
-    out_bases: Shape
     kernel: Kernel
     stochastic: bool = False
-    args: Tuple[Value, ...] = ()
-
-    def __post_init__(self):
-        if (self.kernel.in_shape != self.in_bases
-                or self.kernel.out_shape != self.out_bases):
-            raise ShapeMismatch(f"generator {self.name}: kernel shape "
-                                f"does not match declared bases")
 
 
 class Signature:
@@ -133,8 +124,8 @@ class Signature:
 
 
 def _binop(name, fn):
-    return GenSpec(name, (INT, INT), (INT,),
-                   det_kernel((INT, INT), (INT,), lambda r: (fn(r[0], r[1]),)))
+    return GenSpec(name, det_kernel((INT, INT), (INT,),
+                                    lambda r: (fn(r[0], r[1]),)))
 
 
 def _unif_family(*values) -> GenSpec:
@@ -142,9 +133,8 @@ def _unif_family(*values) -> GenSpec:
     if not vals or any(not isinstance(v, int) or isinstance(v, bool)
                        for v in vals):
         raise TermTypeError(f"unif needs integer values, got {vals!r}")
-    return GenSpec("unif", (), (INT,),
-                   dist_source(uniform(sorted(set(vals))), INT),
-                   stochastic=True, args=vals)
+    return GenSpec("unif", dist_source(uniform(sorted(set(vals))), INT),
+                   stochastic=True)
 
 
 def default_signature() -> Signature:
@@ -154,8 +144,7 @@ def default_signature() -> Signature:
             _binop("plus", lambda a, b: a + b),
             _binop("minus", lambda a, b: a - b),
             _binop("times", lambda a, b: a * b),
-            GenSpec("neg", (INT,), (INT,),
-                    det_kernel((INT,), (INT,), lambda r: (-r[0],))),
+            GenSpec("neg", det_kernel((INT,), (INT,), lambda r: (-r[0],))),
         ],
         families={"unif": _unif_family},
     )
@@ -169,24 +158,21 @@ def finite_signature() -> Signature:
     """
     i3 = IntRange(0, 2)
     return Signature(gens=[
-        GenSpec("not", (BOOL,), (BOOL,),
-                det_kernel((BOOL,), (BOOL,), lambda r: (not r[0],))),
-        GenSpec("xor", (BOOL, BOOL), (BOOL,),
-                det_kernel((BOOL, BOOL), (BOOL,), lambda r: (r[0] ^ r[1],))),
-        GenSpec("conj", (BOOL, BOOL), (BOOL,),
-                det_kernel((BOOL, BOOL), (BOOL,), lambda r: (r[0] and r[1],))),
-        GenSpec("coin", (), (BOOL,),
-                dist_source(uniform([False, True]), BOOL), stochastic=True),
-        GenSpec("cyc", (i3,), (i3,),
-                det_kernel((i3,), (i3,), lambda r: ((r[0] + 1) % 3,))),
-        GenSpec("addmod3", (i3, i3), (i3,),
-                det_kernel((i3, i3), (i3,), lambda r: ((r[0] + r[1]) % 3,))),
-        GenSpec("unif3", (), (i3,),
-                dist_source(uniform([0, 1, 2]), i3), stochastic=True),
-        GenSpec("tobit", (BOOL,), (i3,),
-                det_kernel((BOOL,), (i3,), lambda r: (int(r[0]),))),
-        GenSpec("iszero", (i3,), (BOOL,),
-                det_kernel((i3,), (BOOL,), lambda r: (r[0] == 0,))),
+        GenSpec("not", det_kernel((BOOL,), (BOOL,), lambda r: (not r[0],))),
+        GenSpec("xor", det_kernel((BOOL, BOOL), (BOOL,),
+                                  lambda r: (r[0] ^ r[1],))),
+        GenSpec("conj", det_kernel((BOOL, BOOL), (BOOL,),
+                                   lambda r: (r[0] and r[1],))),
+        GenSpec("coin", dist_source(uniform([False, True]), BOOL),
+                stochastic=True),
+        GenSpec("cyc", det_kernel((i3,), (i3,), lambda r: ((r[0] + 1) % 3,))),
+        GenSpec("addmod3", det_kernel((i3, i3), (i3,),
+                                      lambda r: ((r[0] + r[1]) % 3,))),
+        GenSpec("unif3", dist_source(uniform([0, 1, 2]), i3),
+                stochastic=True),
+        GenSpec("tobit", det_kernel((BOOL,), (i3,), lambda r: (int(r[0]),))),
+        GenSpec("iszero", det_kernel((i3,), (BOOL,),
+                                     lambda r: (r[0] == 0,))),
     ])
 
 
@@ -252,11 +238,6 @@ class FbyBox(Term):
 
 @dataclass(frozen=True)
 class Wait(Term):
-    w: WireType
-
-
-@dataclass(frozen=True)
-class Register(Term):
     w: WireType
 
 
@@ -339,7 +320,6 @@ _WIRING_TYPES = {
     Discard: lambda u: (u.ws, ()),
     FbyBox: lambda u: ((u.w, u.w.shifted()), (u.w,)),
     Wait: lambda u: ((u.w,), (u.w.shifted(),)),
-    Register: lambda u: ((u.w, u.w), (u.w,)),
 }
 
 
@@ -366,8 +346,8 @@ def infer_type(t: Term, sig: Signature) -> Tuple[Wires, Wires]:
             except TermTypeError as e:
                 fail(u, e.message)
             d = u.delay
-            return (tuple(WireType(x, d) for x in spec.in_bases),
-                    tuple(WireType(x, d) for x in spec.out_bases))
+            return (tuple(WireType(x, d) for x in spec.kernel.in_shape),
+                    tuple(WireType(x, d) for x in spec.kernel.out_shape))
         if isinstance(u, Const):
             if not u.base.contains(u.value):
                 fail(u, f"constant {value_str(u.value)} is not a "
@@ -421,7 +401,7 @@ def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local nam
 
 
 _STREAMS = {Id: identity, Copy: copy_stream, Discard: discard_stream,
-            FbyBox: fby_box, Wait: wait_stream, Register: register}
+            FbyBox: fby_box, Wait: wait_stream}
 
 
 def _compile(sig: Signature, t: Term, a=None, b=None) -> Stream:
@@ -432,7 +412,7 @@ def _compile(sig: Signature, t: Term, a=None, b=None) -> Stream:
         return par_comp(a, b)
     if isinstance(t, (Id, Copy, Discard)):
         return _STREAMS[type(t)](wires_to_seq(t.ws))
-    if isinstance(t, (FbyBox, Wait, Register)):
+    if isinstance(t, (FbyBox, Wait)):
         return _delayed(_STREAMS[type(t)]((t.w.base,)), t.w.delay)
     if isinstance(t, Sym):
         return swap_stream(wires_to_seq(t.a), wires_to_seq(t.b))
@@ -598,8 +578,8 @@ def _pick_gen(rng, sig: Signature, iw: Wires, ow: Wires) -> Optional[Term]:
         return None
     d = ow[0].delay
     names = [n for n in sig.names()
-             if sig.gens[n].in_bases == tuple(w.base for w in iw)
-             and sig.gens[n].out_bases == tuple(w.base for w in ow)]
+             if sig.gens[n].kernel.in_shape == tuple(w.base for w in iw)
+             and sig.gens[n].kernel.out_shape == tuple(w.base for w in ow)]
     if not names:
         return None
     return Gen(rng.choice(names), d)
@@ -623,7 +603,7 @@ def random_term(sig: Signature, size: int, seed: int) -> Term:
 # ---------------------------------------------------------------------------
 
 _PAIR_TERMS = {"seq": Seq, "par": Par}
-_WIRE_TERMS = {"fby": FbyBox, "wait": Wait, "reg": Register}
+_WIRE_TERMS = {"fby": FbyBox, "wait": Wait}
 _WIRES_TERMS = {"id": Id, "copy": Copy, "discard": Discard}
 _KEYWORDS = {Fbk: "fbk", DelayTerm: "delay", **{
     cls: kw for terms in (_PAIR_TERMS, _WIRE_TERMS, _WIRES_TERMS)

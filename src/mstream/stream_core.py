@@ -342,15 +342,13 @@ def delay(f: Stream) -> Stream:
                  f.out_seq.cons(unit_shape), f.mem.cons(unit_shape), f.n + 1)
 
 
-def fbk(f: Stream, s) -> Stream:
+def fbk(f: Stream, s: ShapeSeq) -> Stream:
     """Close a feedback loop over the bundle sequence ``s``.
 
     ``f`` must output the block ``s.at(t)`` in front at tick t and expect the
     block ``s.at(t-1)`` in front at tick t+1 (nothing at tick 0). The body
     lowers unchanged: the loop moves that block into memory.
     """
-    if not isinstance(s, ShapeSeq):
-        s = ShapeSeq.constant(s)
     fed = s.cons(unit_shape)
     n = max(len(f.x.prefix), len(f.out_seq.prefix), len(fed.prefix))
     x = ShapeSeq(
@@ -381,25 +379,15 @@ def fby_box(shape) -> Stream:
     return lift_seq((k0,), kt)
 
 
-def register(shape) -> Stream:
-    """One-place buffer: emits the first port at tick 0, afterwards emits the
-    previous tick's second port (the first port is consumed and dropped)."""
-    shape = tuple(shape)
-    n = len(shape)
-    two = shape + shape
-    k0 = swap(shape, shape)  # (a, b) -> (store b, emit a)
-    kt = rewire(shape + two, tuple(range(2 * n, 3 * n)) + tuple(range(n)))
-    return Stream(ShapeSeq.constant(two), ShapeSeq.constant(shape),
-                  ShapeSeq((unit_shape,), shape), (k0,), kt)
-
-
 def wait_stream(shape) -> Stream:
-    """One-tick buffer: emits nothing at tick 0, then the previous input."""
-    shape = tuple(shape)
-    k0 = identity_kernel(shape)  # x -> (store x | no output)
-    kt = swap(shape, shape)      # (m, x) -> (store x, emit m)
-    return Stream(ShapeSeq.constant(shape), ShapeSeq((unit_shape,), shape),
-                  ShapeSeq((unit_shape,), shape), (k0,), kt)
+    """One-tick buffer: emits nothing at tick 0, then the previous input.
+
+    It is feedback over the symmetry: the body swaps the input in front of
+    the fed-back block, so the loop stores each input and emits it one tick
+    later. Compiled streams hold memory only in ``fbk`` nodes.
+    """
+    s = ShapeSeq.constant(shape)
+    return fbk(swap_stream(s.cons(unit_shape), s), s)
 
 
 # ---------------------------------------------------------------------------

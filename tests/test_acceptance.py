@@ -255,7 +255,7 @@ def sliding(rng):
     det = rng.random() < 0.5
     h_kernel = random_kernel(tb, sb, rng, deterministic=det)
     sig = Signature(gens=list(FIN.gens.values())
-                    + [GenSpec("slid", tb, sb, h_kernel, stochastic=not det)])
+                    + [GenSpec("slid", h_kernel, stochastic=not det)])
     tw = (WireType(tb[0], d),)
     sw = (WireType(sb[0], d),)
     x, y = rand_wires(rng, 0, 1), rand_wires(rng, 1, 1)

@@ -19,8 +19,8 @@ RUNNING_SUM = str(PROGRAMS / "running_sum.ms")
 RAMP = str(PROGRAMS / "ramp_inputs.jsonl")
 
 RANGE_W = "int[0..1]@0"
-REG = f"reg[{RANGE_W}]"
-FBY_WAIT = f"seq(par(id[{RANGE_W}], wait[{RANGE_W}]), fby[{RANGE_W}])"
+WAIT = f"wait[{RANGE_W}]"
+FBK_SYM = f"fbk[{RANGE_W}](sym[int[0..1]@1|{RANGE_W}])"
 COIN_COPY = "seq(unif{0,1}@0, copy[int@0])"
 TWO_COINS = "par(unif{0,1}@0, unif{0,1}@0)"
 
@@ -342,10 +342,16 @@ def test_check_fib_vs_itself(capsys):
     assert json.loads(out) == {"equal": True, "horizon": 5}
 
 
-def test_check_register_vs_fby_wait(capsys):
-    code, out, _ = cli(capsys, "check", REG, FBY_WAIT, "--horizon", "6")
+def test_check_wait_vs_feedback_over_swap(capsys):
+    code, out, _ = cli(capsys, "check", WAIT, FBK_SYM, "--horizon", "6")
     assert code == 0
     assert json.loads(out) == {"equal": True, "horizon": 6}
+
+
+def test_reg_literal_exits_2(capsys):
+    code, out, err = cli(capsys, "check", f"reg[{RANGE_W}]", WAIT)
+    assert (code, out) == (2, "")
+    assert "expected '@'" in err
 
 
 def test_check_coin_copy_vs_two_coins(capsys):
@@ -732,7 +738,7 @@ def test_small_state_cap_variable_exits_5(monkeypatch, capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden_samples.json"
 
 
-# An unused input, a dead recursive draw, a register over a draw and a
+# An unused input, a dead recursive draw, an on-time fby of a draw and a
 # mutually recursive pair; ``inline.ms`` in a command names this source.
 INLINE_SRC = """\
 input y : int

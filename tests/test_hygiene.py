@@ -11,10 +11,14 @@ as a variable, an attribute or an import.
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import mstream
+from mstream import sfg_ir
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mstream"
@@ -141,3 +145,17 @@ def test_traced_targets_exist(monkeypatch):
     spec.loader.exec_module(tracing)
     assert [(owner.__name__, attr) for owner, attr, _ in tracing.TARGETS
             if attr not in owner.__dict__] == []
+
+
+def test_ir_doc_lists_the_term_keywords():
+    """The first column of docs/ir.md's term table names exactly the
+    keywords the term reader knows; ``name`` stands for a generator."""
+    text = (ROOT / "docs" / "ir.md").read_text()
+    section = text.split("\n## Terms\n")[1].split("\n## ")[0]
+    words = {m.group(1) for m in re.finditer(r"^\| `(\w+)", section, re.M)}
+    assert words - {"name"} == (set(sfg_ir._KEYWORDS.values())
+                                | {"const", "sym"})
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in mstream.__all__ if not hasattr(mstream, n)] == []

@@ -124,11 +124,6 @@ def test_uniform_rejects_bad_input():
         uniform([1, 1])
 
 
-def test_dist_json_keys_sorted():
-    d = Dist({(1, True): F(1, 4), (0, False): F(3, 4)})
-    assert d.to_json_str() == '{"(0,false)": "3/4", "(1,true)": "1/4"}'
-
-
 def test_marginalize_tables():
     d = Dist({(0, 0): F(1, 2), (1, 1): F(1, 2)})
     assert marginalize(d, [0]) == Dist({(0,): F(1, 2), (1,): F(1, 2)})

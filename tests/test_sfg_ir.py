@@ -31,7 +31,6 @@ from mstream.sfg_ir import (
     Gen,
     Id,
     Par,
-    Register,
     Seq,
     Sym,
     Term,
@@ -122,7 +121,6 @@ def test_infer_type_basic_nodes():
     assert infer_type(Const(3, INT, 1), SIG) == ((), (W1,))
     assert infer_type(FbyBox(W0), SIG) == ((W0, W1), (W0,))
     assert infer_type(Wait(W0), SIG) == ((W0,), (W1,))
-    assert infer_type(Register(W0), SIG) == ((W0, W0), (W0,))
     assert infer_type(DelayTerm(Gen("neg", 0)), SIG) == ((W1,), (W1,))
 
 
@@ -196,12 +194,6 @@ def test_compile_walk_first_step():
     assert d == Dist({(-1,): F(1, 2), (1,): F(1, 2)})
 
 
-def test_compile_register_matches_term():
-    t = Register(W0)
-    s = compile_term(t, SIG)
-    assert run_det(s, [(9, 1), (9, 2), (9, 3)]) == [(9,), (1,), (2,)]
-
-
 def test_compile_wait_shifts():
     s = compile_term(Wait(W0), SIG)
     assert run_det(s, [(5,), (6,), (7,)]) == [(), (5,), (6,)]
@@ -212,8 +204,10 @@ def test_compile_wait_shifts():
     (FbyBox(W2), [(), (), (5,), (6, 1)], [(), (), (5,), (1,)]),
     (Wait(W1), [(), (5,), (6,), (7,)], [(), (), (5,), (6,)]),
     (Wait(W2), [(), (), (5,), (6,)], [(), (), (), (5,)]),
-    (Register(W1), [(), (9, 1), (9, 2), (9, 3)], [(), (9,), (1,), (2,)]),
-    (Register(W2), [(), (), (9, 1), (9, 2)], [(), (), (9,), (1,)]),
+    (seq(par(Id((W1,)), Wait(W1)), FbyBox(W1)),
+     [(), (9, 1), (9, 2), (9, 3)], [(), (9,), (1,), (2,)]),
+    (seq(par(Id((W2,)), Wait(W2)), FbyBox(W2)),
+     [(), (), (9, 1), (9, 2)], [(), (), (9,), (1,)]),
     (Const(3, INT, 1), [()] * 4, [(), (3,), (3,), (3,)]),
     (Const(3, INT, 2), [()] * 4, [(), (), (3,), (3,)]),
     (Gen("plus", 1), [(), (1, 2), (3, 4), (5, 6)], [(), (3,), (7,), (11,)]),
@@ -224,6 +218,32 @@ def test_delayed_leaf_traces(term, inputs, want):
     iw, ow = infer_type(term, SIG)
     assert (s.in_seq, s.out_seq) == (wires_to_seq(iw), wires_to_seq(ow))
     assert run_det(s, inputs) == want
+
+
+def _leaves(s):
+    """The leaves of the composition tree of the stream ``s``."""
+    todo, seen = [s], set()
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            todo.extend(u._parts)
+            if not u._parts:
+                yield u
+
+
+def test_compiled_leaves_hold_no_memory():
+    """Compiled streams keep memory only in feedback nodes."""
+    root = Path(__file__).resolve().parent.parent
+    sources = [p.read_text() for p in sorted(root.glob("programs/*.ms"))
+               + sorted(root.glob("bench/programs/*.ms"))]
+    sources.append("x = 0 fby unif(0, 3)\ny = 0 fby (x fby wait(x))\n")
+    terms = [elaborate(parse(src)) for src in sources]
+    terms += [read_term(f"{kw}[int[0..1]@{d}]")
+              for kw in ("wait", "fby") for d in range(3)]
+    for t in terms:
+        for leaf in _leaves(compile_term(t, SIG)):
+            assert leaf.mem == ShapeSeq.constant(()), pretty(t)
 
 
 def test_fbk_over_sym_compiles_to_wait():

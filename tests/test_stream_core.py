@@ -30,7 +30,10 @@ from mstream.kernel import (
     kernel_compose,
     marginalize,
     random_kernel,
+    rewire,
+    swap,
     uniform,
+    unit_shape,
 )
 from mstream.stream_core import (
     ShapeSeq,
@@ -49,7 +52,6 @@ from mstream.stream_core import (
     observe,
     observe_marginals,
     par_comp,
-    register,
     run_det,
     sample_trace,
     seq_comp,
@@ -224,27 +226,59 @@ def test_fbk_shape_mismatch():
 # fby / register / wait
 # ---------------------------------------------------------------------------
 
+def reference_register(shape) -> Stream:
+    """A one-place buffer as one leaf that holds memory: emits the first
+    port at tick 0, afterwards the previous tick's second port."""
+    shape = tuple(shape)
+    n = len(shape)
+    two = shape + shape
+    k0 = swap(shape, shape)  # (a, b) -> (store b, emit a)
+    kt = rewire(shape + two, tuple(range(2 * n, 3 * n)) + tuple(range(n)))
+    return Stream(ShapeSeq.constant(two), ShapeSeq.constant(shape),
+                  ShapeSeq((unit_shape,), shape), (k0,), kt)
+
+
+def reference_wait(shape) -> Stream:
+    """A one-tick buffer as one leaf that holds memory."""
+    shape = tuple(shape)
+    k0 = identity_kernel(shape)  # x -> (store x | no output)
+    kt = swap(shape, shape)      # (m, x) -> (store x, emit m)
+    return Stream(ShapeSeq.constant(shape), ShapeSeq((unit_shape,), shape),
+                  ShapeSeq((unit_shape,), shape), (k0,), kt)
+
+
+def fby_of_wait(sh) -> Stream:
+    """A register as a wait feeding the second port of an fby box."""
+    return seq_comp(par_comp(identity(ShapeSeq.constant(sh)),
+                             wait_stream(sh)),
+                    fby_box(sh))
+
+
+@pytest.mark.parametrize("sh", [(), (I01,), (I01, BOOL)])
+def test_wait_stream_matches_reference_tick_tables(sh):
+    w, ref = wait_stream(sh), reference_wait(sh)
+    assert (w.x, w.out_seq, w.mem) == (ref.x, ref.out_seq, ref.mem)
+    for t in range(3):
+        k, kr = w.kernel(t), ref.kernel(t)
+        assert (k.in_shape, k.out_shape) == (kr.in_shape, kr.out_shape)
+        for row in enumerate_rows(kr.in_shape):
+            assert k.dist(row) == kr.dist(row), (t, row)
+
+
 def test_register_buffers_second_port():
-    r = register((INT,))
-    got = run_det(r, [(9, 1), (9, 2), (9, 3)])
+    got = run_det(fby_of_wait((INT,)), [(9, 1), (9, 2), (9, 3)])
     assert got == [(9,), (1,), (2,)]
 
 
 def test_register_equals_fby_box_of_delayed_port():
     sh = (I01,)
-    composite = seq_comp(par_comp(identity(ShapeSeq.constant(sh)),
-                                  wait_stream(sh)),
-                         fby_box(sh))
-    assert obs_equal(register(sh), composite, 6)
+    assert obs_equal(reference_register(sh), fby_of_wait(sh), 6)
 
 
 def test_fby_box_replays_delayed_wire():
     sh = (INT,)
     # port 1 gets x through wait: output is x0, x0, x1, x2, ...
-    composite = seq_comp(seq_comp(copy_stream(ShapeSeq.constant(sh)),
-                                  par_comp(identity(ShapeSeq.constant(sh)),
-                                           wait_stream(sh))),
-                         fby_box(sh))
+    composite = seq_comp(copy_stream(ShapeSeq.constant(sh)), fby_of_wait(sh))
     got = run_det(composite, [(3,), (4,), (5,)])
     assert got == [(3,), (3,), (4,)]
 
