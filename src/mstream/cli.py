@@ -2,8 +2,12 @@
 
 ``mstream run|sample|exact|check`` executes ``.ms`` dataflow programs (or IR
 term literals, for ``check``) and emits machine-readable traces and
-distributions.  All output is computed in full before anything is printed, so
-a failure never leaves partial JSON behind.
+distributions.  ``run`` and ``sample`` print each line as soon as its tick is
+computed, so a long run holds one tick at a time; every ``--inputs`` row is
+checked against the program's input shapes before the first tick, so a
+malformed input leaves nothing printed.  ``exact`` and ``check`` compute
+their output in full before printing it, so a state-cap hit at a late tick
+leaves no partial output behind.
 
 Exit codes: 0 success; 1 check found a difference; 2 syntax errors; 3
 causality or type errors (including malformed inputs); 4 a stochastic program
@@ -14,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from functools import cache
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 from .errors import (
     MStreamError,
@@ -39,14 +43,17 @@ from .sfg_ir import (
 )
 from .stream_core import (
     _compare,
+    _input_row,
+    iter_det,
+    iter_sample,
     obs_equal,  # noqa: F401 - bench/tracing.py wraps cli.obs_equal by name
     observe,
     observe_marginals,
-    run_det,
-    sample_trace,
+    run_det,  # noqa: F401 - bench/tracing.py wraps cli.run_det by name
+    sample_trace,  # noqa: F401 - bench/tracing.py wraps it by name
     state_cap,
 )
-from .values import value_str, value_to_json
+from .values import value_str
 
 
 def _read_text(path) -> str:
@@ -96,8 +103,12 @@ def _build(args, sig: Signature):
 
 
 def _input_rows(args, stream):
-    open_program = any(stream.in_seq.at(t) != ()
-                       for t in range(args.steps + 1))
+    """The ``--inputs`` rows of ticks 0..steps, or None for a closed
+    program."""
+    n = args.steps + 1
+    seq = stream.in_seq
+    open_program = any(seq.prefix[:n]) or (len(seq.prefix) < n
+                                           and seq.tail != ())
     if args.inputs is None:
         if open_program:
             raise ShapeMismatch(
@@ -109,7 +120,14 @@ def _input_rows(args, stream):
         raise ShapeMismatch(
             f"--steps {args.steps} needs {args.steps + 1} input rows, "
             f"got {len(rows)}")
-    return rows[:args.steps + 1]
+    return rows[:n]
+
+
+def _fit_inputs(stream, rows):
+    """Checks each input row against its tick's input shape, so that a row
+    that does not fit is refused before the first line is printed."""
+    for t in range(len(rows or ())):
+        _input_row(rows, t, stream.x.at(t))
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +146,34 @@ def _dist_json(d):
             for v, q in d.items()}
 
 
-def _csv_lines(rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for r in rows:
-        w.writerow(r)
-    return buf.getvalue().splitlines()
+class _Echo:
+    """A file whose ``write`` returns its text: a csv writer's ``writerow``
+    over it returns the formatted line."""
+
+    def write(self, text):
+        return text
 
 
-def _trace_lines(trace, fmt, trial=None):
+#: One csv record, without its line terminator.
+_csv_line = csv.writer(_Echo(), lineterminator="").writerow
+
+
+def _trace_lines(trace, fmt, trial=None) -> Iterator[str]:
+    """One line per output row of ``trace``, each formatted as it comes.
+    A JSON line's ``out`` is the row itself: ``json`` writes a tuple as an
+    array and ``None`` as null, as :func:`values.value_to_json` would."""
     if fmt == "json":
-        out = []
+        head = '{"t": ' if trial is None else f'{{"trial": {trial}, "t": '
         for t, row in enumerate(trace):
-            obj = {} if trial is None else {"trial": trial}
-            obj["t"] = t
-            obj["out"] = [value_to_json(v) for v in row]
-            out.append(json.dumps(obj))
-        return out
-    if fmt == "csv":
-        rows = []
+            yield f'{head}{t}, "out": {json.dumps(row)}}}'
+    elif fmt == "csv":
+        head = [] if trial is None else [trial]
         for t, row in enumerate(trace):
-            head = [] if trial is None else [trial]
-            rows.append(head + [t] + [value_str(v) for v in row])
-        return _csv_lines(rows)
-    out = []
-    for t, row in enumerate(trace):
+            yield _csv_line(head + [t] + [value_str(v) for v in row])
+    else:
         head = "" if trial is None else f"trial {trial} "
-        out.append(f"{head}t={t}: " + " ".join(value_str(v) for v in row))
-    return out
+        for t, row in enumerate(trace):
+            yield f"{head}t={t}: " + " ".join(map(value_str, row))
 
 
 def _dist_lines(dists, fmt, joint_row=None):
@@ -173,7 +191,7 @@ def _dist_lines(dists, fmt, joint_row=None):
         if joint_row is not None:
             for k, p in joint_row["joint"].items():
                 rows.append(["joint", k, p])
-        return _csv_lines(rows)
+        return [_csv_line(r) for r in rows]
     out = []
     for t, d in enumerate(dists):
         cells = ", ".join(f"{k}: {p}" for k, p in _dist_json(d).items())
@@ -188,7 +206,8 @@ def _dist_lines(dists, fmt, joint_row=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_run(args: argparse.Namespace) -> list:
+def cmd_run(args: argparse.Namespace) -> Iterator[str]:
+    """The lines of one trace, each computed when it is taken."""
     sig = default_signature()
     term, stream = _build(args, sig)
     rows = _input_rows(args, stream)
@@ -197,21 +216,22 @@ def cmd_run(args: argparse.Namespace) -> list:
             raise NondeterministicStream(
                 "the program samples; rerun with --backend stoch or use "
                 "`mstream sample`")
-        trace = run_det(stream, rows, args.steps)
+        trace = iter_det(stream, rows, args.steps)
     else:
-        trace = sample_trace(stream, rows, args.steps, args.seed)
+        trace = iter_sample(stream, rows, args.steps, args.seed)
+    _fit_inputs(stream, rows)
     return _trace_lines(trace, args.fmt)
 
 
-def cmd_sample(args: argparse.Namespace) -> list:
+def cmd_sample(args: argparse.Namespace) -> Iterator[str]:
+    """The lines of every trial in turn, each computed when it is taken."""
     _, stream = _build(args, default_signature())
     rows = _input_rows(args, stream)
-    traces = [sample_trace(stream, rows, args.steps, mix(args.seed, i))
-              for i in range(args.trials)]
-    lines = []
-    for i, tr in enumerate(traces):
-        lines.extend(_trace_lines(tr, args.fmt, trial=i))
-    return lines
+    _fit_inputs(stream, rows)
+    return chain.from_iterable(
+        _trace_lines(iter_sample(stream, rows, args.steps, mix(args.seed, i)),
+                     args.fmt, trial=i)
+        for i in range(args.trials))
 
 
 def cmd_exact(args: argparse.Namespace) -> list:
@@ -357,6 +377,8 @@ def _main(argv) -> int:
             code = 0
             lines = {"run": cmd_run, "sample": cmd_sample,
                      "exact": cmd_exact}[args.cmd](args)
+        for line in lines:
+            print(line)
     except ParseError as e:
         print(f"mstream: syntax error: {e}", file=sys.stderr)
         return 2
@@ -369,8 +391,6 @@ def _main(argv) -> int:
     except MStreamError as e:  # causality, type, shape and other errors
         print(f"mstream: {e}", file=sys.stderr)
         return 3
-    for line in lines:
-        print(line)
     return code
 
 

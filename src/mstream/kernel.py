@@ -184,8 +184,9 @@ class Dist:
     be exactly 1. Masses already of type ``Fraction`` are kept, not copied;
     any other mass is converted with ``Fraction(q)``. Instances are immutable
     and compare by table equality. A composite kernel builds one ``Dist`` per
-    input row, from the table its flat program accumulates; the kernels
-    nested in it build none. The first draw builds and keeps :meth:`cdf`.
+    input row, from the table its flat program accumulates, without checking
+    it again (:meth:`_trusted`); the kernels nested in it build none. The
+    first draw builds and keeps :meth:`cdf`.
     """
 
     __slots__ = ("_p", "_cdf")
@@ -257,6 +258,16 @@ class Dist:
         if not self.is_dirac:
             raise ValueError("distribution is not Dirac")
         return next(iter(self._p))
+
+    @classmethod
+    def _trusted(cls, p: dict) -> "Dist":
+        """The ``Dist`` of ``p`` without the checks of ``__init__``, for a
+        table of ``Fraction`` masses already known to be positive and to
+        sum to 1; ``p`` is kept, not copied."""
+        d = cls.__new__(cls)
+        d._p = p
+        d._cdf = None
+        return d
 
     def map(self, f) -> "Dist":
         """Exact pushforward along ``f``."""
@@ -497,7 +508,9 @@ def _flatten(k: Kernel) -> Callable[[Row], Dist]:
                     r = new.get(y)
                     new[y] = q if r is None else r + q
             table = new
-        return Dist(table)
+        # each mass is a product of masses of checked leaf Dists, and equal
+        # rows are merged, so the masses are positive and sum to 1
+        return Dist._trusted(table)
 
     return rule
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 from math import inf
 from typing import Optional, Union
 
@@ -491,29 +492,38 @@ def _tarjan(nodes, succ):
     return out
 
 
-def _zero_delay_order(members, zero_edges, occs):
-    """Order SCC members so zero-delay dependencies come first."""
-    member_set = set(members)
+def _zero_delay_order(members, zero):
+    """Order SCC members so zero-delay dependencies come first, each step
+    placing the first member, in ``members`` order, whose dependencies are
+    placed; ``zero`` lists the zero-delay uses of members inside members,
+    in source order."""
     deps = {n: set() for n in members}
-    for n, m in zero_edges:
-        deps[n].add(m)
-    order, placed = [], set()
-    while len(order) < len(members):
-        ready = [n for n in members
-                 if n not in placed and deps[n] <= placed]
-        if not ready:
-            for o in occs:
-                if (o.demand == 0 and o.definition in member_set
-                        and o.name in member_set
-                        and o.definition not in placed
-                        and o.name not in placed):
-                    raise CausalityError(
-                        f"unguarded recursive use of {o.name!r} in the "
-                        f"definition of {o.definition!r} (line {o.pos[0]}, "
-                        f"column {o.pos[1]}): every cycle needs an fby")
-            raise ElaborationError("zero-delay cycle without a witness")
-        order.append(ready[0])
-        placed.add(ready[0])
+    for o in zero:
+        deps[o.definition].add(o.name)
+    users = {n: [] for n in members}
+    for n, ds in deps.items():
+        for m in ds:
+            users[m].append(n)
+    left = {n: len(ds) for n, ds in deps.items()}
+    rank = {n: i for i, n in enumerate(members)}
+    ready = [rank[n] for n in members if not left[n]]  # sorted: a heap
+    order = []
+    while ready:
+        n = members[heappop(ready)]
+        order.append(n)
+        for u in users[n]:
+            left[u] -= 1
+            if not left[u]:
+                heappush(ready, rank[u])
+    if len(order) < len(members):
+        placed = set(order)
+        for o in zero:
+            if o.definition not in placed and o.name not in placed:
+                raise CausalityError(
+                    f"unguarded recursive use of {o.name!r} in the "
+                    f"definition of {o.definition!r} (line {o.pos[0]}, "
+                    f"column {o.pos[1]}): every cycle needs an fby")
+        raise ElaborationError("zero-delay cycle without a witness")
     return tuple(order)
 
 
@@ -589,23 +599,28 @@ def check_causality(p: Program) -> Analysis:
                 f"(line {o.pos[0]}, column {o.pos[1]})")
     def_names = [d.name for d in p.defs]
     def_set = set(def_names)
-    succs = {n: [] for n in def_names}
+    succs = {n: {} for n in def_names}  # dicts as ordered sets
     for o in occs:
-        if o.name in def_set and o.name not in succs[o.definition]:
-            succs[o.definition].append(o.name)
+        if o.name in def_set:
+            succs[o.definition][o.name] = None
     raw_sccs = _tarjan(def_names, lambda v: succs[v])
 
     order_index = {n: i for i, n in enumerate(def_names)}
     self_loop = {(o.definition, o.name) for o in occs}
+    zero_uses = {n: [] for n in def_names}  # per definition, in source order
+    for o in occs:
+        if o.demand == 0 and o.name in def_set:
+            zero_uses[o.definition].append(o)
     sccs, recursive = [], set()
     for comp in raw_sccs:
         members = tuple(sorted(comp, key=order_index.get))
         if len(members) > 1 or (members[0], members[0]) in self_loop:
             recursive.update(members)
-            zero = {(o.definition, o.name) for o in occs
-                    if o.demand == 0 and o.definition in comp
-                    and o.name in comp}
-            members = _zero_delay_order(members, zero, occs)
+            # occs lists each definition's uses together, in program order
+            inside = set(members)
+            zero = [o for n in members for o in zero_uses[n]
+                    if o.name in inside]
+            members = _zero_delay_order(members, zero)
         sccs.append(members)
 
     bases = {i.name: (i.wire.base,) for i in p.inputs}

@@ -9,7 +9,11 @@ kernel, built on first use, lowers the tree at tick t (:func:`_lower`).
 The engine steps a process by tick index, through ``kernel(t)``,
 ``x.at(t)`` and ``mem.at(t + 1)``, so from tick ``n`` on every tick reuses
 the stationary kernel and its cache; ``Stream.unroll`` is the memoized
-coinductive view of the same kernels.
+coinductive view of the same kernels. Execution is causal: one generator
+(:func:`_trace`) yields each tick's output row as soon as it is computed,
+holding only the memory row between ticks and looking those three up only
+until tick ``n``. :func:`iter_det` and :func:`iter_sample` hand its rows
+out one at a time; :func:`run_det` and :func:`sample_trace` list them.
 
 A tick kernel is not evaluated as the tree it was composed as. On its first
 ``dist`` it lowers itself, once, to one flat program of leaf ops over a
@@ -45,7 +49,7 @@ import os
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     NondeterministicStream,
@@ -69,6 +73,7 @@ from .kernel import (
     unit_shape,
 )
 from .rng import SplitMix64
+from .values import Row
 
 DEFAULT_STATE_CAP = 10 ** 6
 
@@ -609,18 +614,43 @@ def _input_row(inputs, t: int, x_shape: Shape):
     return x
 
 
-def _trace(f: Stream, inputs, n: int, choose) -> list:
-    """Output rows of ticks 0..n, taking ``choose(t, dist)`` as tick t's
-    memory and output row."""
-    m_row = ()
-    trace = []
+def _trace(f: Stream, inputs, n: int, choose) -> Iterator[Row]:
+    """Yields the output rows of ticks 0..n, each as soon as it is computed,
+    taking ``choose(t, dist)`` as tick t's memory and output row.
+
+    The input shape, the kernel and the memory width are stationary from
+    tick ``f.n`` on, so they are looked up only until then. A tick's input
+    is checked against its shape only when inputs are given or the shape
+    is not empty."""
+    m_row = x = ()
     for t in range(n + 1):
-        x = _input_row(inputs, t, f.x.at(t))
-        row = choose(t, f.kernel(t).dist(m_row + x))
-        lm = len(f.mem.at(t + 1))
+        if t <= f.n:
+            x_shape = f.x.at(t)
+            dist = f.kernel(t).dist
+            lm = len(f.mem.at(t + 1))
+            check = inputs is not None or x_shape
+        if check:
+            x = _input_row(inputs, t, x_shape)
+        row = choose(t, dist(m_row + x))
         m_row = row[:lm]
-        trace.append(row[lm:])
-    return trace
+        yield row[lm:]
+
+
+def _point(t: int, d: Dist) -> Row:
+    if not d.is_dirac:
+        raise NondeterministicStream(
+            f"tick {t}: kernel produced a non-point distribution")
+    return d.the_value()
+
+
+def iter_det(f: Stream, inputs=None,
+             n: Optional[int] = None) -> Iterator[Row]:
+    """The rows of :func:`run_det`, yielded one tick at a time."""
+    if n is None:
+        if inputs is None:
+            raise ValueError("run_det needs inputs or an explicit tick count")
+        n = len(inputs) - 1
+    return _trace(f, inputs, n, _point)
 
 
 def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
@@ -630,18 +660,14 @@ def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
     ``n``). Any tick whose kernel yields a non-point distribution on the
     reached state raises NondeterministicStream.
     """
-    if n is None:
-        if inputs is None:
-            raise ValueError("run_det needs inputs or an explicit tick count")
-        n = len(inputs) - 1
+    return list(iter_det(f, inputs, n))
 
-    def point(t, d):
-        if not d.is_dirac:
-            raise NondeterministicStream(
-                f"tick {t}: kernel produced a non-point distribution")
-        return d.the_value()
 
-    return _trace(f, inputs, n, point)
+def iter_sample(f: Stream, inputs, n: int, seed: int) -> Iterator[Row]:
+    """The rows of :func:`sample_trace`, yielded one tick at a time."""
+    g = SplitMix64(seed)
+    return _trace(f, inputs, n, lambda t, d: d.the_value() if d.is_dirac
+                  else sample_bits(d, g.next_uint64()))
 
 
 def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
@@ -652,9 +678,7 @@ def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
     every seed; any other tick takes ``sample_bits(d, k)`` for one 64-bit
     word ``k``, a bisection of the table ``d.cdf()`` that ``d`` keeps.
     """
-    g = SplitMix64(seed)
-    return _trace(f, inputs, n, lambda t, d: d.the_value() if d.is_dirac
-                  else sample_bits(d, g.next_uint64()))
+    return list(iter_sample(f, inputs, n, seed))
 
 
 def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:

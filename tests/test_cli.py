@@ -1,14 +1,20 @@
+import contextlib
+import csv
 import gc
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mstream.cli import build_parser, main
+from mstream.cli import _trace_lines, build_parser, main
+from mstream.kernel import Kernel
 from mstream.stream_core import Stream
+from mstream.values import value_str, value_to_json
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 FIB = str(PROGRAMS / "fib.ms")
@@ -775,3 +781,126 @@ def test_seeded_output_bytes_are_pinned(tmp_path, capsys, command):
     code, out, err = cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == "".join(line + "\n" for line in expected)
+
+
+# ---------------------------------------------------------------------------
+# streamed output
+# ---------------------------------------------------------------------------
+
+def _csv_lines(rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    for r in rows:
+        w.writerow(r)
+    return buf.getvalue().splitlines()
+
+
+def reference_trace_lines(trace, fmt, trial=None):
+    """The trace formatting of the buffered CLI, which built every line
+    from a list of rows before printing any."""
+    if fmt == "json":
+        out = []
+        for t, row in enumerate(trace):
+            obj = {} if trial is None else {"trial": trial}
+            obj["t"] = t
+            obj["out"] = [value_to_json(v) for v in row]
+            out.append(json.dumps(obj))
+        return out
+    if fmt == "csv":
+        rows = []
+        for t, row in enumerate(trace):
+            head = [] if trial is None else [trial]
+            rows.append(head + [t] + [value_str(v) for v in row])
+        return _csv_lines(rows)
+    out = []
+    for t, row in enumerate(trace):
+        head = "" if trial is None else f"trial {trial} "
+        out.append(f"{head}t={t}: " + " ".join(value_str(v) for v in row))
+    return out
+
+
+@pytest.fixture
+def any_int_digits():
+    """Lifts the limit on the digits of an int/str conversion, as ``main``
+    does while a command runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+TRACES = {
+    "ints": [(0,), (-7, 12), (10 ** 4999,)],
+    "bools": [(True,), (False, True), (1, False)],
+    "unit": [(None,), (None, 0), ()],
+    "tuples": [((1, 2),), ((True, (None, -3)), 4), (((),), ((0, (1,)),))],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("trial", [None, 0, 12])
+@pytest.mark.parametrize("kind", list(TRACES))
+def test_streamed_lines_match_the_buffered_format(any_int_digits, kind,
+                                                   trial, fmt):
+    trace = TRACES[kind]
+    assert len(str(10 ** 4999)) == 5000
+    want = reference_trace_lines(trace, fmt, trial)
+    got = _trace_lines(iter(trace), fmt, trial)
+    assert not isinstance(got, list)
+    assert list(got) == want
+
+
+class Sink:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def heap_peak(argv):
+    """The peak of the traced heap while ``main(argv)`` writes to a sink."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Sink()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, small, large", [
+    (["run", COUNTERS], ["--steps", "5000"], ["--steps", "50000"]),
+    (["sample", EHRENFEST, "--steps", "3"], ["--trials", "500"],
+     ["--trials", "5000"]),
+])
+def test_long_runs_print_in_bounded_memory(argv, small, large):
+    """Ten times the ticks or trials raise the heap's peak by at most
+    1 MB: each line is printed as it is produced."""
+    heap_peak(argv + small)  # compiles and imports what both runs use
+    grown = heap_peak(argv + large) - heap_peak(argv + small)
+    assert grown <= 2 ** 20, f"peak grew by {grown / 2 ** 20:.1f} MB"
+
+
+def test_run_stops_at_the_first_line_that_cannot_be_written(monkeypatch):
+    calls = []
+    dist = Kernel.dist
+
+    def counted(self, row):
+        calls.append(row)
+        return dist(self, row)
+
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError("closed")
+
+    monkeypatch.setattr(Kernel, "dist", counted)
+    with contextlib.redirect_stdout(Closed()):
+        with pytest.raises(BrokenPipeError):
+            main(["run", COUNTERS, "--steps", "100000"])
+    assert 1 <= len(calls) <= 2

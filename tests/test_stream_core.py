@@ -845,17 +845,47 @@ def test_flat_tick_kernels_match_nested_reference(monkeypatch):
     assert compared >= 1000
 
 
+def test_rule_built_dists_are_checked_dists():
+    """A flat program's rule builds its ``Dist`` without the constructor's
+    checks; each one holds positive masses that sum to 1, and equals the
+    checked ``Dist`` of its table. The summed draws merge entries."""
+    streams = [compile_term(elaborate(parse(
+        "main = unif(0, 1) + unif(0, 1) + unif(0, 1)\n")),
+        default_signature())]
+    for seed in range(200):
+        rng = random.Random(seed)
+        iw, ow = random_wires(rng, 0, 2), random_wires(rng, 1, 2)
+        streams.append(compile_term(
+            random_term_of_type(rng, FIN, iw, ow, 12), FIN))
+    built = 0
+    for i, f in enumerate(streams):
+        for t in range(4):
+            k = f.kernel(t)
+            for row in enumerate_rows(k.in_shape):
+                d = k.dist(row)
+                masses = [q for _, q in d.pairs()]
+                assert all(q > 0 for q in masses) and sum(masses) == 1
+                assert d == Dist(dict(d.pairs())), (i, t, row)
+                built += 1
+    assert built >= 4000
+
+
 def test_deterministic_tick_builds_one_dist(monkeypatch):
     fib = (Path(__file__).resolve().parent.parent / "programs" / "fib.ms")
     sig = default_signature()
     built = []
-    init = Dist.__init__
+    init, trusted = Dist.__init__, Dist._trusted
 
     def counting(self, mapping):
         built.append(None)
         init(self, mapping)
 
+    def counting_trusted(cls, p):
+        built.append(None)
+        return trusted(p)
+
     monkeypatch.setattr(Dist, "__init__", counting)
+    monkeypatch.setattr(Dist, "_trusted", classmethod(counting_trusted))
     counts = []
     for n in (10, 60):
         f = compile_term(elaborate(parse(fib.read_text())), sig)
