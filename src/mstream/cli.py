@@ -12,6 +12,10 @@ leaves no partial output behind.
 Exit codes: 0 success; 1 check found a difference; 2 syntax errors; 3
 causality or type errors (including malformed inputs); 4 a stochastic program
 under the deterministic backend; 5 state-cap exceeded.
+
+When the reader of standard output goes away, as ``mstream run … | head``
+does, the command stops printing and exits with the code it would have
+returned, writing nothing to standard error.
 """
 
 from __future__ import annotations
@@ -348,6 +352,19 @@ def build_parser():
     return p
 
 
+def _drop_stdout():
+    """Point standard output at the null device once its reader is gone,
+    so that the flush at exit does not fail again and report on stderr.
+    An in-process stdout without a file descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     # values are unbounded integers: lift Python's limit on the digits of an
     # int/str conversion (3.10.7 and later) while the command runs
@@ -377,8 +394,12 @@ def _main(argv) -> int:
             code = 0
             lines = {"run": cmd_run, "sample": cmd_sample,
                      "exact": cmd_exact}[args.cmd](args)
-        for line in lines:
-            print(line)
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
     except ParseError as e:
         print(f"mstream: syntax error: {e}", file=sys.stderr)
         return 2

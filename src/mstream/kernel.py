@@ -542,10 +542,6 @@ def const_source(v: Value, base: Base) -> Kernel:
     return det_kernel(unit_shape, (base,), lambda row: (v,))
 
 
-def identity_kernel(shape) -> Kernel:
-    return rewire(shape, range(len(shape)))
-
-
 def rewire(in_shape, indices) -> Kernel:
     """Deterministic wire shuffle: output wire ``j`` is input wire ``indices[j]``.
 
@@ -560,17 +556,28 @@ def rewire(in_shape, indices) -> Kernel:
                   lambda prog, ins: tuple([ins[i] for i in indices]))
 
 
+# The wiring kernels below are rewires whose indices are built here, so
+# they lower by slicing and take no index check.
+
+def identity_kernel(shape) -> Kernel:
+    shape = tuple(shape)
+    return Kernel(shape, shape, None, lambda prog, ins: ins)
+
+
 def copy(shape) -> Kernel:
-    return rewire(shape, tuple(range(len(shape))) * 2)
+    shape = tuple(shape)
+    return Kernel(shape, shape + shape, None, lambda prog, ins: ins + ins)
 
 
 def discard(shape) -> Kernel:
-    return rewire(shape, ())
+    return Kernel(shape, unit_shape, None, lambda prog, ins: ())
 
 
 def swap(a, b) -> Kernel:
-    la, n = len(a), len(a) + len(b)
-    return rewire(tuple(a) + tuple(b), tuple(range(la, n)) + tuple(range(la)))
+    a, b = tuple(a), tuple(b)
+    la = len(a)
+    return Kernel(a + b, b + a, None,
+                  lambda prog, ins: ins[la:] + ins[:la])
 
 
 def kernel_compose(f: Kernel, g: Kernel) -> Kernel:

@@ -4,8 +4,9 @@ Terms denote wirings of one-tick kernels: sequential/parallel composition,
 symmetry, copy/discard, one-tick buffers, and a feedback constructor whose
 loop carries values one tick later. Each wire has a base type and a delay:
 the wire is silent before tick ``delay`` and carries base values from then
-on. ``infer_type`` checks a term, ``compile`` turns it into a stream
-process, ``random_term`` generates well-typed terms for the law suites, and
+on. ``infer_type`` returns a term's wires, ``compile`` types a term and
+turns it into a stream process in one pass, by the same typing rule,
+``random_term`` generates well-typed terms for the law suites, and
 ``pretty``/``read_term`` give a parse-stable text form. Its lexer and its
 value, base and delay rules are the ones ``lang`` parses programs with.
 
@@ -323,49 +324,55 @@ _WIRING_TYPES = {
 }
 
 
+def _typed(u: Term, a=None, b=None) -> Tuple[Wires, Wires]:
+    """The typing rule: the input and output wires of node ``u``, given its
+    children's, or a TermTypeError without a path. For a generator, ``a``
+    is the input and output shape of its kernel."""
+    if isinstance(u, Seq):
+        (in1, out1), (in2, out2) = a, b
+        if out1 != in2:
+            raise TermTypeError(f"cannot compose: first yields {out1!r}, "
+                                f"second needs {in2!r}")
+        return in1, out2
+    if isinstance(u, Par):
+        return a[0] + b[0], a[1] + b[1]
+    if type(u) in _WIRING_TYPES:
+        return _WIRING_TYPES[type(u)](u)
+    if isinstance(u, Gen):
+        d = u.delay
+        return (tuple(WireType(x, d) for x in a[0]),
+                tuple(WireType(x, d) for x in a[1]))
+    if isinstance(u, Const):
+        if not u.base.contains(u.value):
+            raise TermTypeError(f"constant {value_str(u.value)} is not a "
+                                f"{u.base!r} value")
+        return (), (WireType(u.base, u.delay),)
+    if isinstance(u, Fbk):
+        (bin_, bout), k = a, len(u.s)
+        want_in = shift_wires(u.s)
+        if bin_[:k] != want_in:
+            raise TermTypeError(f"feedback body must consume {want_in!r} in "
+                                f"front, found {bin_[:k]!r}")
+        if bout[:k] != u.s:
+            raise TermTypeError(f"feedback body must produce {u.s!r} in "
+                                f"front, found {bout[:k]!r}")
+        return bin_[k:], bout[k:]
+    if isinstance(u, DelayTerm):
+        return shift_wires(a[0]), shift_wires(a[1])
+    raise TermTypeError(f"not a term: {u!r}")
+
+
 def infer_type(t: Term, sig: Signature) -> Tuple[Wires, Wires]:
     """Input and output wires of a term, or TermTypeError at the failing node."""
 
-    def fail(u, msg):
-        raise TermTypeError(msg, path=_path(t, u))
-
     def typed(u, a=None, b=None):
-        if isinstance(u, Seq):
-            (in1, out1), (in2, out2) = a, b
-            if out1 != in2:
-                fail(u, f"cannot compose: first yields {out1!r}, "
-                     f"second needs {in2!r}")
-            return in1, out2
-        if isinstance(u, Par):
-            return a[0] + b[0], a[1] + b[1]
-        if type(u) in _WIRING_TYPES:
-            return _WIRING_TYPES[type(u)](u)
-        if isinstance(u, Gen):
-            try:
-                spec = sig.lookup(u.name, u.args)
-            except TermTypeError as e:
-                fail(u, e.message)
-            d = u.delay
-            return (tuple(WireType(x, d) for x in spec.kernel.in_shape),
-                    tuple(WireType(x, d) for x in spec.kernel.out_shape))
-        if isinstance(u, Const):
-            if not u.base.contains(u.value):
-                fail(u, f"constant {value_str(u.value)} is not a "
-                     f"{u.base!r} value")
-            return (), (WireType(u.base, u.delay),)
-        if isinstance(u, Fbk):
-            (bin_, bout), k = a, len(u.s)
-            want_in = shift_wires(u.s)
-            if bin_[:k] != want_in:
-                fail(u, f"feedback body must consume {want_in!r} in front, "
-                     f"found {bin_[:k]!r}")
-            if bout[:k] != u.s:
-                fail(u, f"feedback body must produce {u.s!r} in front, "
-                     f"found {bout[:k]!r}")
-            return bin_[k:], bout[k:]
-        if isinstance(u, DelayTerm):
-            return shift_wires(a[0]), shift_wires(a[1])
-        fail(u, f"not a term: {u!r}")
+        try:
+            if isinstance(u, Gen):
+                k = sig.lookup(u.name, u.args).kernel
+                a = k.in_shape, k.out_shape
+            return _typed(u, a, b)
+        except TermTypeError as e:
+            raise TermTypeError(e.message, path=_path(t, u))
 
     return fold(t, typed)
 
@@ -380,24 +387,53 @@ def _delayed(s: Stream, d: int) -> Stream:
     return s
 
 
-def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local name
-    """Structural compilation of a checked term to a stream process.
+def _exact(v):
+    """``v`` tagged with its type, and a tuple's items with theirs, so that
+    values ``==`` equates, such as ``1`` and ``True``, differ."""
+    return (type(v), tuple(map(_exact, v)) if type(v) is tuple else v)
 
-    Equal subterms compile to one shared stream per call. A memo local to
-    the call keys a leaf by the leaf term, and a composite by its kind, the
-    streams its children compiled to and, for ``fbk``, its loop wires.
+
+def compile(t: Term, sig: Signature) -> Stream:  # noqa: A001 - module-local name
+    """Structural compilation of a term to a stream process, typing it on
+    the way.
+
+    One fold types and compiles each distinct subterm once, by the typing
+    rule of :func:`infer_type` and the per-node rule ``_compile``, so it
+    raises the TermTypeError that :func:`infer_type` raises, with the same
+    path: nodes are typed in the same order, and a node the memo skips is
+    equal to one already typed. The memo is local to the call. It keys a
+    leaf by the leaf term, with the type of each value it carries, and a
+    composite by its kind, the streams its children compiled to and, for
+    ``fbk``, its loop wires. Equal subterms thus compile to one shared
+    stream, and each distinct generator is looked up once.
     """
-    infer_type(t, sig)
     memo = {}
 
-    def shared(u, *kids):
-        key = (type(u), getattr(u, "s", None), *map(id, kids)) if kids else u
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = _compile(sig, u, *kids)
-        return s
+    def shared(u, a=None, b=None):
+        kind = type(u)
+        if a is not None:
+            key = kind, getattr(u, "s", None), id(a[1]), b and id(b[1])
+        elif kind is Const or kind is Gen:
+            key = u, _exact(u.value if kind is Const else u.args)
+        else:
+            key = u
+        hit = memo.get(key)
+        if hit is None:
+            try:
+                if kind is Gen:
+                    s = _compile(sig, u)
+                    wires = _typed(u, (s.x.tail, s.out_seq.tail))
+                elif a is None:
+                    wires, s = _typed(u), _compile(sig, u)
+                else:
+                    wires = _typed(u, a[0], b and b[0])
+                    s = _compile(sig, u, a[1], b and b[1])
+            except TermTypeError as e:
+                raise TermTypeError(e.message, path=_path(t, u))
+            hit = memo[key] = wires, s
+        return hit
 
-    return fold(t, shared)
+    return fold(t, shared)[1]
 
 
 _STREAMS = {Id: identity, Copy: copy_stream, Discard: discard_stream,

@@ -48,6 +48,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -100,49 +101,87 @@ class ShapeSeq:
 
     Stored as an explicit finite prefix plus the repeated tail shape; the
     prefix is normalized (no trailing entries equal to the tail), so equal
-    sequences compare equal structurally.
+    sequences compare equal structurally. Each sequence also carries its
+    widths: ``width(t)`` is ``len(at(t))``, read from ``widths`` (one per
+    tick of a prefix) and ``tail_width`` without touching a shape.
+
+    ``tensor`` joins two sequences' shapes at once: inputs and outputs are
+    compared as soon as they are composed. A composite stream's memory, the
+    tensor of its parts' memories, is built by ``_beside`` instead, as a
+    :class:`_Tensor` that keeps its factors and its widths and joins their
+    shapes only when its own are first read. So building a composition
+    tree costs its ticks, not the wires of its memories, and only the
+    memories that are read are ever joined, each once.
     """
 
-    __slots__ = ("prefix", "tail")
+    __slots__ = ("prefix", "tail", "widths", "tail_width", "_factors")
 
     def __init__(self, prefix=(), tail: Shape = unit_shape):
-        prefix = tuple(map(tuple, prefix))
-        tail = tuple(tail)
+        self._set(tuple(map(tuple, prefix)), tuple(tail))
+
+    @classmethod
+    def _of(cls, prefix: tuple, tail: Shape) -> "ShapeSeq":
+        """The sequence of a tuple of shape tuples and a tail tuple."""
+        return cls.__new__(cls)._set(prefix, tail)
+
+    def _set(self, prefix, tail) -> "ShapeSeq":
         while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
-        self.prefix = prefix
-        self.tail = tail
+        self.prefix, self.tail = prefix, tail
+        self.widths, self.tail_width = tuple(map(len, prefix)), len(tail)
+        return self
 
     @staticmethod
     def constant(shape) -> "ShapeSeq":
         return ShapeSeq((), shape)
 
     def at(self, t: int) -> Shape:
-        return self.prefix[t] if t < len(self.prefix) else self.tail
+        p = self.prefix
+        return p[t] if t < len(p) else self.tail
+
+    def width(self, t: int) -> int:
+        """``len(self.at(t))``."""
+        w = self.widths
+        return w[t] if t < len(w) else self.tail_width
 
     def drop(self, n: int) -> "ShapeSeq":
-        return ShapeSeq(self.prefix[n:], self.tail)
+        return ShapeSeq._of(self.prefix[n:], self.tail)
 
     def cons(self, shape) -> "ShapeSeq":
         """Prepend one tick."""
-        return ShapeSeq((tuple(shape),) + self.prefix, self.tail)
+        return ShapeSeq._of((tuple(shape),) + self.prefix, self.tail)
 
     def glue0(self, mem) -> "ShapeSeq":
         """Prepend a memory shape onto tick 0 only."""
         return self.drop(1).cons(tuple(mem) + self.at(0))
 
     def tensor(self, other: "ShapeSeq") -> "ShapeSeq":
-        if not (other.prefix or other.tail):
+        if not (other.tail_width or any(other.widths)):
             return self
-        if not (self.prefix or self.tail):
+        if not (self.tail_width or any(self.widths)):
             return other
-        n = max(len(self.prefix), len(other.prefix))
-        return ShapeSeq([self.at(t) + other.at(t) for t in range(n)],
-                        self.tail + other.tail)
+        n = max(len(self.widths), len(other.widths))
+        return ShapeSeq._of(tuple([self.at(t) + other.at(t)
+                                   for t in range(n)]),
+                            self.tail + other.tail)
+
+    def _beside(self, other: "ShapeSeq") -> "ShapeSeq":
+        """The tensor with ``other``, its shapes joined when first read."""
+        if not (other.tail_width or any(other.widths)):
+            return self
+        if not (self.tail_width or any(self.widths)):
+            return other
+        s = _Tensor.__new__(_Tensor)
+        s._factors = self, other
+        n = max(len(self.widths), len(other.widths))
+        s.widths = tuple([self.width(t) + other.width(t) for t in range(n)])
+        s.tail_width = self.tail_width + other.tail_width
+        return s
 
     def __eq__(self, other):
-        return (isinstance(other, ShapeSeq)
-                and self.prefix == other.prefix and self.tail == other.tail)
+        return self is other or (
+            isinstance(other, ShapeSeq) and self.tail_width == other.tail_width
+            and self.prefix == other.prefix and self.tail == other.tail)
 
     def __hash__(self):
         return hash((self.prefix, self.tail))
@@ -151,6 +190,42 @@ class ShapeSeq:
         parts = [repr(list(s)) for s in self.prefix]
         parts.append(f"{list(self.tail)!r}*")
         return "ShapeSeq(" + ", ".join(parts) + ")"
+
+
+class _Tensor(ShapeSeq):
+    """A tensor of ``_factors`` whose shapes are not joined yet.
+
+    Reading its ``prefix`` or ``tail`` joins them, on an explicit stack,
+    and turns it into a plain :class:`ShapeSeq`; its widths are known from
+    the start.
+    """
+
+    __slots__ = ()
+
+    def _join(self) -> None:
+        parts, todo = [], [self]
+        while todo:
+            s = todo.pop()
+            if type(s) is _Tensor:
+                todo += reversed(s._factors)
+            else:
+                parts.append(s)
+        n = max(len(s.prefix) for s in parts)
+        self.__class__ = ShapeSeq
+        self._factors = None
+        self._set(tuple([tuple(chain.from_iterable([s.at(t) for s in parts]))
+                         for t in range(n)]),
+                  tuple(chain.from_iterable([s.tail for s in parts])))
+
+    @property
+    def prefix(self) -> tuple:
+        self._join()
+        return self.prefix
+
+    @property
+    def tail(self) -> Shape:
+        self._join()
+        return self.tail
 
 
 def _strip_front(shape: Shape, front, what: str) -> Shape:
@@ -191,7 +266,8 @@ class Stream:
     def __init__(self, x: ShapeSeq, out_seq: ShapeSeq, mem: ShapeSeq,
                  ks: Sequence[Kernel], tail: Kernel):
         ks = tuple(ks)
-        self._fill(x, out_seq, mem, len(ks))
+        self._fill(x, out_seq, mem, max(len(ks), len(x.prefix),
+                                        len(out_seq.prefix), len(mem.prefix)))
         ks = self._ks = ks + (tail,) * (self.n + 1 - len(ks))
         m = mem.at(0)
         if m:
@@ -207,12 +283,10 @@ class Stream:
             m = m2
 
     def _fill(self, x, out_seq, mem, n, op=None, parts=()):
-        # the prefix covers at least n ticks and every shape prefix
-        self.x, self.out_seq, self.mem = x, out_seq, mem
-        self.n = max(n, len(x.prefix), len(out_seq.prefix), len(mem.prefix))
+        # n covers every shape prefix; it is given, so that no shape is read
+        self.x, self.out_seq, self.mem, self.n = x, out_seq, mem, n
         self._ks, self._op, self._parts, self._cell = None, op, parts, None
-        m0 = mem.at(0)
-        self.in_seq = x.glue0(m0) if m0 else x
+        self.in_seq = x.glue0(mem.at(0)) if mem.width(0) else x
 
     def _kernels(self) -> tuple:
         """Tick kernels ``0..n``; a composite builds them on first use."""
@@ -250,17 +324,27 @@ class Stream:
         return f"Stream({self.in_seq!r} -> {self.out_seq!r})"
 
 
+def _leaf(x: ShapeSeq, out_seq: ShapeSeq, ks: tuple, tail: Kernel) -> Stream:
+    """The memoryless leaf of kernels whose shapes are ``x`` and
+    ``out_seq`` by construction, so they are not checked again."""
+    s = _node(None, (), x, out_seq, _NO_MEM,
+              max(len(ks), len(x.prefix), len(out_seq.prefix)))
+    s._ks = ks + (tail,) * (s.n + 1 - len(ks))
+    return s
+
+
 def lift_seq(ks: Sequence[Kernel], k_tail: Kernel) -> Stream:
     """Memoryless stream applying the t-th kernel at tick t (then the tail)."""
     ks = tuple(ks)
-    return Stream(ShapeSeq([k.in_shape for k in ks], k_tail.in_shape),
-                  ShapeSeq([k.out_shape for k in ks], k_tail.out_shape),
-                  _NO_MEM, ks, k_tail)
+    return _leaf(ShapeSeq._of(tuple([k.in_shape for k in ks]),
+                              k_tail.in_shape),
+                 ShapeSeq._of(tuple([k.out_shape for k in ks]),
+                              k_tail.out_shape), ks, k_tail)
 
 
 def identity(s: ShapeSeq) -> Stream:
-    return lift_seq([identity_kernel(sh) for sh in s.prefix],
-                    identity_kernel(s.tail))
+    return _leaf(s, s, tuple(map(identity_kernel, s.prefix)),
+                 identity_kernel(s.tail))
 
 
 def lift_const(k: Kernel) -> Stream:
@@ -269,17 +353,18 @@ def lift_const(k: Kernel) -> Stream:
 
 
 def discard_stream(s: ShapeSeq) -> Stream:
-    return lift_seq([discard(sh) for sh in s.prefix], discard(s.tail))
+    return _leaf(s, _NO_MEM, tuple(map(discard, s.prefix)), discard(s.tail))
 
 
 def copy_stream(s: ShapeSeq) -> Stream:
-    return lift_seq([copy(sh) for sh in s.prefix], copy(s.tail))
+    return _leaf(s, s.tensor(s), tuple(map(copy, s.prefix)), copy(s.tail))
 
 
 def swap_stream(sa: ShapeSeq, sb: ShapeSeq) -> Stream:
     n = max(len(sa.prefix), len(sb.prefix))
-    return lift_seq([swap(sa.at(t), sb.at(t)) for t in range(n)],
-                    swap(sa.tail, sb.tail))
+    return _leaf(sa.tensor(sb), sb.tensor(sa),
+                 tuple([swap(sa.at(t), sb.at(t)) for t in range(n)]),
+                 swap(sa.tail, sb.tail))
 
 
 # ---------------------------------------------------------------------------
@@ -295,34 +380,81 @@ def _node(op, parts, x: ShapeSeq, out_seq: ShapeSeq, mem: ShapeSeq,
 
 def _lower(s: Stream, t: int, prog, ins: tuple) -> tuple:
     """Append the tick-``t`` kernel of ``s`` to ``prog``, reading slots
-    ``ins``; returns its output slots. No call recurses."""
-    todo = []  # (op, g, tick, g's inputs besides y, la2, f's outputs)
+    ``ins``; returns its output slots. No call recurses.
+
+    A node's memory is its parts' memories side by side, so each node reads
+    its memory from one range of ``ins`` and writes its new memory to one
+    range of the result row ``res``, and no level copies the slots of the
+    levels below it. A node is visited with its tick, the widths ``lm``,
+    ``lx``, ``lm2`` and ``ly`` of its memory, input, new memory and output
+    there, which its parent works out, and where they are: it reads its
+    memory from ``ins[mi:]`` and its input from ``xs[xo:]``, and writes its
+    new memory to ``res[mo:]`` and its output to ``yd[yo:]``.
+    The first part of a ``seq`` writes its output to a fresh list that the
+    second reads; a feedback body reads the fed-back block, a range of
+    ``ins``, before the loop's input, and its output goes through a fresh
+    list that is split between memory and output once it is lowered. A
+    node whose input, memory and output are all empty at its tick emits
+    nothing: its ops could only feed one another, and the liveness pass of
+    ``kernel._flatten`` would drop them.
+    """
+    lm, lx, lm2, ly = (s.mem.width(t), s.x.width(t), s.mem.width(t + 1),
+                       s.out_seq.width(t))
+    res = [None] * (lm2 + ly)
+    mi, xs, xo, mo, yd, yo = 0, ins, lm, 0, res, lm2
+    todo = []  # the nodes still to lower, and the splits of feedback bodies
     while True:
         op = s._op
-        if op is fbk or op is delay and t:
-            s, t = s._parts[0], t - (op is delay)
+        if not (lm or lx or lm2 or ly):
+            pass  # no wires at this tick: nothing to emit
         elif op is seq_comp or op is par_comp:
             # (mf ⊗ mg ⊗ x) -> (mf' ⊗ mg' ⊗ z), through f's output y, or
             # (mf ⊗ mg ⊗ xf ⊗ xg) -> (mf' ⊗ mg' ⊗ yf ⊗ yg)
-            f, g = s._parts
-            la, lb = len(f.mem.at(t)), len(g.mem.at(t))
-            end = None if op is seq_comp else la + lb + len(f.x.at(t))
-            gin = ins[la:la + lb] + (ins[end:] if op is par_comp else ())
-            todo.append((op, g, t, gin, len(f.mem.at(t + 1)), None))
-            s, ins = f, ins[:la] + ins[la + lb:end]
-        else:
-            r = s.kernel(t).lower(prog, ins) if op is None else ()
-            while todo:
-                op, g, t, gin, la2, r1 = todo.pop()
-                if r1 is None:  # f is lowered: g next
-                    todo.append((op, g, t, gin, la2, r))
-                    s, ins = g, gin + (r[la2:] if op is seq_comp else ())
-                    break
-                lb2 = len(g.mem.at(t + 1))
-                yf = r1[la2:] if op is par_comp else ()
-                r = r1[:la2] + r[:lb2] + yf + r[lb2:]
+            (s, g), mf, mf2 = s._parts, lm, lm2
+            lm, lm2 = s.mem.width(t), s.mem.width(t + 1)
+            lyf = s.out_seq.width(t)
+            if op is seq_comp:
+                tmp = [None] * lyf
+                todo.append((g, t, mf - lm, lyf, mf2 - lm2, ly, mi + lm, tmp,
+                             0, mo + lm2, yd, yo))
+                ly, yd, yo = lyf, tmp, 0
             else:
-                return r
+                lxf = s.x.width(t)
+                todo.append((g, t, mf - lm, lx - lxf, mf2 - lm2, ly - lyf,
+                             mi + lm, xs, xo + lxf, mo + lm2, yd, yo + lyf))
+                lx, ly = lxf, lyf
+            continue
+        elif op is fbk:
+            s, lb, lb2 = s._parts[0], lm, lm2
+            lm, lm2 = s.mem.width(t), s.mem.width(t + 1)
+            k, k2 = lb - lm, lb2 - lm2  # the blocks fed in and fed back
+            if k:  # the body reads the fed-back block, then the input
+                xs, xo = (*ins[mi + lm:mi + lb], *xs[xo:xo + lx]), 0
+            if k2:  # the body writes the block fed back, then the output
+                tmp = [None] * (k2 + ly)
+                todo.append((None, t, 0, 0, k2, ly, 0, tmp, 0, mo + lm2,
+                             yd, yo))
+                yd, yo = tmp, 0
+            lx, ly = lx + k, ly + k2
+            continue
+        elif op is delay:
+            s, t = s._parts[0], t - 1
+            continue
+        else:
+            ks = s._ks
+            r = ks[min(t, s.n)].lower(prog, (*ins[mi:mi + lm],
+                                             *xs[xo:xo + lx]))
+            res[mo:mo + lm2] = r[:lm2]
+            yd[yo:yo + ly] = r[lm2:]
+        while todo:
+            s, t, lm, lx, lm2, ly, mi, xs, xo, mo, yd, yo = todo.pop()
+            if s is not None:
+                break
+            # a feedback body's output xs: the block fed back, then the rest
+            res[mo:mo + lm2] = xs[:lm2]
+            yd[yo:yo + ly] = xs[lm2:]
+        else:
+            return tuple(res)
 
 
 def seq_comp(f: Stream, g: Stream) -> Stream:
@@ -330,14 +462,14 @@ def seq_comp(f: Stream, g: Stream) -> Stream:
     if g.x != f.out_seq:
         raise ShapeMismatch(
             f"sequential composition: {f.out_seq!r} feeds {g.x!r}")
-    return _node(seq_comp, (f, g), f.x, g.out_seq, f.mem.tensor(g.mem),
+    return _node(seq_comp, (f, g), f.x, g.out_seq, f.mem._beside(g.mem),
                  max(f.n, g.n))
 
 
 def par_comp(f: Stream, g: Stream) -> Stream:
     """Run ``f`` and ``g`` side by side on concatenated wires."""
     return _node(par_comp, (f, g), f.x.tensor(g.x),
-                 f.out_seq.tensor(g.out_seq), f.mem.tensor(g.mem),
+                 f.out_seq.tensor(g.out_seq), f.mem._beside(g.mem),
                  max(f.n, g.n))
 
 
@@ -356,15 +488,16 @@ def fbk(f: Stream, s: ShapeSeq) -> Stream:
     """
     fed = s.cons(unit_shape)
     n = max(len(f.x.prefix), len(f.out_seq.prefix), len(fed.prefix))
-    x = ShapeSeq(
-        [_strip_front(f.x.at(t), fed.at(t), f"feedback input, tick {t}")
-         for t in range(n)],
+    x = ShapeSeq._of(
+        tuple([_strip_front(f.x.at(t), fed.at(t), f"feedback input, tick {t}")
+               for t in range(n)]),
         _strip_front(f.x.tail, fed.tail, "feedback input tail"))
-    out_seq = ShapeSeq(
-        [_strip_front(f.out_seq.at(t), s.at(t), f"feedback output, tick {t}")
-         for t in range(n)],
+    out_seq = ShapeSeq._of(
+        tuple([_strip_front(f.out_seq.at(t), s.at(t),
+                            f"feedback output, tick {t}") for t in range(n)]),
         _strip_front(f.out_seq.tail, s.tail, "feedback output tail"))
-    return _node(fbk, (f,), x, out_seq, f.mem.tensor(fed), f.n)
+    return _node(fbk, (f,), x, out_seq, f.mem._beside(fed),
+                 max(f.n, len(fed.prefix)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +781,8 @@ def iter_det(f: Stream, inputs=None,
     """The rows of :func:`run_det`, yielded one tick at a time."""
     if n is None:
         if inputs is None:
-            raise ValueError("run_det needs inputs or an explicit tick count")
+            raise ValueError(
+                "a deterministic run needs inputs or an explicit tick count")
         n = len(inputs) - 1
     return _trace(f, inputs, n, _point)
 

@@ -1,9 +1,8 @@
-import gc
 import random
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -45,6 +44,7 @@ from mstream.sfg_ir import (
     read_term,
 )
 from mstream.stream_core import observe_marginals, run_det, sample_trace
+from scaling import assert_doubling_at_most, nest, stateful_chain
 
 F = Fraction
 SIG = default_signature()
@@ -294,12 +294,6 @@ def test_base_errors_name_the_definition():
     assert an.widths["y"] == 2
 
 
-def stateful_chain(n):
-    """``x_i = 0 fby (x_i + x_(i-1))``: n recursive SCCs of one member."""
-    return "x0 = 0 fby (x0 + 1)\n" + "".join(
-        f"x{i} = 0 fby (x{i} + x{i - 1})\n" for i in range(1, n))
-
-
 def delayed_ring(n):
     """One recursive SCC of n members: each adds 1 to the one before it,
     and the first delays the last."""
@@ -310,25 +304,21 @@ def delayed_ring(n):
 @pytest.mark.parametrize("program", [stateful_chain, delayed_ring])
 def test_causality_is_linear_in_the_number_of_definitions(program):
     """Doubling the definitions at most about doubles the analysis: its
-    minimum over 3 runs at 4000 definitions is at most 2.5 times the one at
-    2000. The collector is off while it is timed, as under ``timeit``: its
-    passes cost in proportion to the whole heap, not to the analysis."""
-    def best(n):
-        p = parse(program(n))
-        times = []
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(3):
-                start = time.perf_counter()
-                check_causality(p)
-                times.append(time.perf_counter() - start)
-        finally:
-            gc.enable()
-        return min(times)
+    minimum time at 4000 definitions is at most 2.5 times the one at
+    2000."""
+    assert_doubling_at_most({n: parse(program(n)) for n in (2000, 4000)},
+                            [("causality", check_causality)])
 
-    small, large = best(2000), best(4000)
-    assert large <= 2.5 * small, (small, large)
+
+@pytest.mark.parametrize("program, n", [(stateful_chain, 2000), (nest, 2500)])
+def test_setup_is_linear_in_program_size(program, n):
+    """Doubling a program at most about doubles each stage of its set-up:
+    causality plus elaboration, compilation, and the first 4 ticks."""
+    assert_doubling_at_most(
+        {size: parse(program(size)) for size in (n, 2 * n)},
+        [("elaborate", elaborate),
+         ("compile", partial(compile_term, sig=SIG)),
+         ("first 4 ticks", partial(run_det, n=3))])
 
 
 # ---------------------------------------------------------------------------

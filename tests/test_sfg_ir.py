@@ -147,6 +147,74 @@ def test_type_error_carries_path():
         infer_type(Gen("nope", 0), SIG)
 
 
+def seeded_term(seed):
+    """A random well-typed FIN term of ``random_term_of_type``."""
+    rng = random.Random(seed)
+    iw, ow = (tuple(WireType(rng.choice((BOOL, IntRange(0, 2))),
+                             rng.randrange(2))
+                    for _ in range(rng.randint(lo, 2))) for lo in (0, 1))
+    return random_term_of_type(rng, FIN, iw, ow, rng.randint(3, 12))
+
+
+def test_compile_types_as_infer_type():
+    for seed in range(200):
+        t = seeded_term(seed)
+        ins, outs = infer_type(t, FIN)
+        s = compile_term(t, FIN)
+        assert s.in_seq == wires_to_seq(ins), seed
+        assert s.out_seq == wires_to_seq(outs), seed
+
+
+def rebuilt(t, k, mutate):
+    """``t`` with its k-th node, children first, replaced by
+    ``mutate(node)``."""
+    count = itertools.count()
+
+    def build(u, *kids):
+        if isinstance(u, (Seq, Par)):
+            u = type(u)(*kids)
+        elif isinstance(u, (Fbk, DelayTerm)):
+            u = Fbk(u.s, kids[0]) if isinstance(u, Fbk) else DelayTerm(kids[0])
+        return mutate(u) if next(count) == k else u
+
+    return fold(t, build)
+
+
+#: Ill-typed replacements of a node ``u`` of a term over ``FIN``.
+MUTANTS = {
+    "mismatched seq": lambda u: Seq(u, Id((WireType(IntRange(5, 6), 0),))),
+    "wrong fbk front": lambda u: Fbk((WireType(FinSet((7,)), 0),), u),
+    "unknown generator": lambda u: Gen("nosuch", 0),
+    "constant outside its base": lambda u: Const(3, IntRange(0, 2), 0),
+}
+
+
+def type_error(fn, *args):
+    with pytest.raises(TermTypeError) as e:
+        fn(*args)
+    return str(e.value), e.value.message, e.value.path
+
+
+def test_compile_raises_the_type_error_of_infer_type():
+    """On seeded ill-typed mutants, and where a value equal under ``==``
+    but of another type follows a well-typed one, ``compile`` fails at
+    the node ``infer_type`` fails at, with the same message. Each mutant
+    sits beside its well-typed original, whose subterms the memo holds
+    by the time the mutant is compiled."""
+    cases = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        t = seeded_term(seed)
+        for mutate in MUTANTS.values():
+            k = rng.randrange(node_count(t))
+            cases.append((FIN, Par(t, rebuilt(t, k, mutate))))
+    cases += [(SIG, Par(Const(1, INT), Const(True, INT))),
+              (SIG, Par(Gen("unif", 0, (0, 1)), Gen("unif", 0, (False, 1))))]
+    for sig, t in cases:
+        want = type_error(infer_type, t, sig)
+        assert type_error(compile_term, t, sig) == want, pretty(t)
+
+
 def test_10000_deep_seq_chain_without_recursion():
     limit = sys.getrecursionlimit()
     n = 10 ** 4 + 1

@@ -2,8 +2,8 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
-from math import comb
+from functools import partial, reduce
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -46,6 +46,7 @@ from mstream.stream_core import (
     fby_box,
     first_difference,
     identity,
+    iter_det,
     lift_const,
     lift_seq,
     obs_equal,
@@ -59,6 +60,7 @@ from mstream.stream_core import (
 )
 from mstream import (
     Id,
+    Par,
     WireType,
     compile_term,
     default_signature,
@@ -69,6 +71,7 @@ from mstream import (
     seq_term,
 )
 from mstream.sfg_ir import random_term_of_type
+from scaling import nest, stateful_chain
 
 F = Fraction
 I01 = IntRange(0, 1)
@@ -392,6 +395,14 @@ def test_run_det_validates_inputs():
         run_det(s, [(7,)])
 
 
+@pytest.mark.parametrize("run", [iter_det, run_det])
+def test_a_run_needs_inputs_or_a_tick_count(run):
+    """The error names neither function, so it holds for both."""
+    with pytest.raises(ValueError, match="^a deterministic run needs inputs "
+                       "or an explicit tick count$"):
+        run(counter_stream())
+
+
 def test_sample_trace_deterministic_stream_equals_run_det():
     c = counter_stream()
     for seed in (0, 1, 12345):
@@ -490,6 +501,7 @@ def first_cap_hit(observe_at, n):
 
 
 FIN = finite_signature()
+SIG = default_signature()
 I3 = IntRange(0, 2)
 
 
@@ -843,6 +855,86 @@ def test_flat_tick_kernels_match_nested_reference(monkeypatch):
                 assert all(type(q) is Fraction for _, q in got.pairs())
             compared += 1
     assert compared >= 1000
+
+
+def reference_lower(s, t, prog, ins):
+    """The tick-``t`` lowering that slices the input slots and joins the
+    output slots again at every ``seq`` and ``par`` level, which
+    ``stream_core._lower`` replaced; kept as its reference."""
+    todo = []  # (op, g, tick, g's inputs besides y, la2, f's outputs)
+    while True:
+        op = s._op
+        if op is fbk or op is delay and t:
+            s, t = s._parts[0], t - (op is delay)
+        elif op is seq_comp or op is par_comp:
+            f, g = s._parts
+            la, lb = len(f.mem.at(t)), len(g.mem.at(t))
+            end = None if op is seq_comp else la + lb + len(f.x.at(t))
+            gin = ins[la:la + lb] + (ins[end:] if op is par_comp else ())
+            todo.append((op, g, t, gin, len(f.mem.at(t + 1)), None))
+            s, ins = f, ins[:la] + ins[la + lb:end]
+        else:
+            r = s.kernel(t).lower(prog, ins) if op is None else ()
+            while todo:
+                op, g, t, gin, la2, r1 = todo.pop()
+                if r1 is None:  # f is lowered: g next
+                    todo.append((op, g, t, gin, la2, r))
+                    s, ins = g, gin + (r[la2:] if op is seq_comp else ())
+                    break
+                lb2 = len(g.mem.at(t + 1))
+                yf = r1[la2:] if op is par_comp else ()
+                r = r1[:la2] + r[:lb2] + yf + r[lb2:]
+            else:
+                return r
+
+
+def some_row(rng, shape):
+    """A row of ``shape``: a random value of each base, or a small int."""
+    return tuple(rng.choice(b.enumerate()) if b.enumerable
+                 else rng.randint(-3, 3) for b in shape)
+
+
+def lowering_cases():
+    """``(name, signature, source or term)`` for the programs, the chain
+    and the nest at 50 levels, and 200 seeded terms, every fourth of them
+    beside itself, so that both parts of a ``par`` hold memory."""
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted([*root.glob("programs/*.ms"),
+                        *root.glob("bench/programs/*.ms")]):
+        yield path.name, SIG, path.read_text()
+    yield "chain", SIG, stateful_chain(50)
+    yield "nest", SIG, nest(50)
+    for seed in range(200):
+        rng = random.Random(seed)
+        iw, ow = random_wires(rng, 0, 2), random_wires(rng, 1, 2)
+        t = random_term_of_type(rng, FIN, iw, ow, 12)
+        yield seed, FIN, t if seed % 4 else Par(t, t)
+
+
+def test_lowering_matches_reference_lowering():
+    """Every tick kernel from 0 to n + 1 gives the Dists of the kernel that
+    ``reference_lower`` lowers, on every row of an enumerable input shape
+    of at most 400 rows, and on the rows a seeded run reaches."""
+    compared = 0
+    for name, sig, source in lowering_cases():
+        term = source if sig is FIN else elaborate(parse(source))
+        f, rng = compile_term(term, sig), random.Random(str(name))
+        m_row = ()
+        for t in range(f.n + 2):
+            k = f.kernel(t)
+            ref = Kernel(k.in_shape, k.out_shape, None,
+                         partial(reference_lower, f, t))
+            reached = m_row + some_row(rng, f.x.at(t))
+            rows = [reached]
+            if prod(len(b.enumerate()) if b.enumerable else 401
+                    for b in k.in_shape) <= 400:
+                rows += enumerate_rows(k.in_shape)
+            for row in rows:
+                assert k.dist(row) == ref.dist(row), (name, t, row)
+                compared += 1
+            d = k.dist(reached)
+            m_row = rng.choice(d.support())[:len(f.mem.at(t + 1))]
+    assert compared >= 4500, compared
 
 
 def test_rule_built_dists_are_checked_dists():
