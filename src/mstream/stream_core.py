@@ -160,10 +160,11 @@ class ShapeSeq:
             return self
         if not (self.tail_width or any(self.widths)):
             return other
-        n = max(len(self.widths), len(other.widths))
-        return ShapeSeq._of(tuple([self.at(t) + other.at(t)
-                                   for t in range(n)]),
-                            self.tail + other.tail)
+        a, ta, b, tb = self.prefix, self.tail, other.prefix, other.tail
+        if len(a) < len(b):
+            a += (ta,) * (len(b) - len(a))
+        return ShapeSeq._of(tuple([x + (b[t] if t < len(b) else tb)
+                                   for t, x in enumerate(a)]), ta + tb)
 
     def _beside(self, other: "ShapeSeq") -> "ShapeSeq":
         """The tensor with ``other``, its shapes joined when first read."""
