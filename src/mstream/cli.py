@@ -165,11 +165,16 @@ _csv_line = csv.writer(_Echo(), lineterminator="").writerow
 def _trace_lines(trace, fmt, trial=None) -> Iterator[str]:
     """One line per output row of ``trace``, each formatted as it comes.
     A JSON line's ``out`` is the row itself: ``json`` writes a tuple as an
-    array and ``None`` as null, as :func:`values.value_to_json` would."""
+    array and ``None`` as null, as :func:`values.value_to_json` would. A
+    row of plain ints (not bools, which ``json`` writes as ``true`` and
+    ``false``) is joined directly, into the bytes ``json`` would write."""
     if fmt == "json":
         head = '{"t": ' if trial is None else f'{{"trial": {trial}, "t": '
         for t, row in enumerate(trace):
-            yield f'{head}{t}, "out": {json.dumps(row)}}}'
+            if all(type(v) is int for v in row):
+                yield f'{head}{t}, "out": [{", ".join(map(str, row))}]}}'
+            else:
+                yield f'{head}{t}, "out": {json.dumps(row)}}}'
     elif fmt == "csv":
         head = [] if trial is None else [trial]
         for t, row in enumerate(trace):

@@ -185,8 +185,9 @@ class Dist:
     any other mass is converted with ``Fraction(q)``. Instances are immutable
     and compare by table equality. A composite kernel builds one ``Dist`` per
     input row, from the table its flat program accumulates, without checking
-    it again (:meth:`_trusted`); the kernels nested in it build none. The
-    first draw builds and keeps :meth:`cdf`.
+    it again (:meth:`_trusted`); the kernels nested in it build none, and
+    a program that draws nothing builds one only when its ``dist`` is
+    asked for. The first draw builds and keeps :meth:`cdf`.
     """
 
     __slots__ = ("_p", "_cdf")
@@ -346,13 +347,16 @@ class Kernel:
     with only a rule lowers to one stochastic op that calls its ``dist``.
     One of ``rule`` and ``lower`` must be given.
 
-    On its first ``dist`` a kernel without a rule lowers itself once into one
-    flat program (:func:`_flatten`), so only the kernel that is evaluated,
-    not the kernels nested in it, holds a rule and a cache. The cache is per
-    input row and is cleared when it reaches ``CACHE_ROWS`` rows.
+    On its first ``dist`` or ``row_fn`` a kernel without a rule lowers itself
+    once into one flat program (:func:`_flatten`), so only the kernel that is
+    evaluated, not the kernels nested in it, holds an evaluator and a cache.
+    A program that keeps no stochastic op is a row function, which caches
+    output rows: ``row_fn`` returns it, and ``dist`` is the point at its
+    row, built anew on each call. Any other kernel caches its ``Dist`` per
+    input row. Either cache is cleared when it reaches ``CACHE_ROWS`` rows.
     """
 
-    __slots__ = ("in_shape", "out_shape", "_rule", "_lower", "_cache")
+    __slots__ = ("in_shape", "out_shape", "_rule", "_lower", "_cache", "_fn")
 
     def __init__(self, in_shape: Shape, out_shape: Shape,
                  rule: Optional[Callable[[Row], Dist]] = None,
@@ -362,18 +366,28 @@ class Kernel:
         self._rule = rule
         self._lower = lower
         self._cache = {}
+        self._fn = None
 
     def dist(self, row: Row) -> Dist:
-        """The output distribution on input ``row`` (cached)."""
+        """The output distribution on input ``row``; it is cached, or the
+        row function caches the row it is the point at."""
         d = self._cache.get(row)
         if d is None:
-            if self._rule is None:
-                self._rule = _flatten(self)
+            if self.row_fn() is not None:  # it caches its own rows
+                return self._rule(row)
             d = self._rule(row)
             if len(self._cache) >= CACHE_ROWS:
                 self._cache.clear()
             self._cache[row] = d
         return d
+
+    def row_fn(self) -> Optional[Callable[[Row], Row]]:
+        """The function from input rows to output rows when this kernel's
+        flat program keeps no stochastic op, else None. Its rows are exactly
+        the points of ``dist``."""
+        if self._rule is None:
+            self._rule, self._fn = _flatten(self)
+        return self._fn
 
     def lower(self, prog: "_Program", ins: tuple) -> tuple:
         """Append this kernel to ``prog``, reading slots ``ins``; returns the
@@ -421,8 +435,9 @@ def _getter(idx):
     return itemgetter(*idx) if idx else lambda s: ()
 
 
-def _flatten(k: Kernel) -> Callable[[Row], Dist]:
-    """Lower ``k`` to one program and return its rule.
+def _flatten(k: Kernel) -> tuple:
+    """Lower ``k`` to one program and return ``(rule, fn)``: its rule, and
+    its row function when no stochastic op is kept, else None.
 
     Every pure op that reads no stochastic op's output, directly or through
     other ops, first moves ahead of the first stochastic op, the order being
@@ -439,7 +454,9 @@ def _flatten(k: Kernel) -> Callable[[Row], Dist]:
     that ``is ONE`` multiplies nothing). Pure ops never add entries, so the
     table before each stochastic op is as small as merging after every op
     would make it, and the last projection, onto the output slots, is the
-    row's one :class:`Dist`.
+    row's one :class:`Dist`. When liveness keeps no stochastic op, the
+    program is one straight-line row function instead (:func:`_row_rule`),
+    which builds no table.
     """
     n_in = len(k.in_shape)
     prog = _Program(n_in)
@@ -482,7 +499,9 @@ def _flatten(k: Kernel) -> Callable[[Row], Dist]:
         after = outs if i == len(kept) - 1 else after
         segments.append((pure, (fn, get), local(after)))
         pure, slot = [], {g: j for j, g in enumerate(after)}
-    if pure or not segments:
+    if not segments:  # no stochastic op is kept
+        return _row_rule(first, pure, local(outs))
+    if pure:
         segments.append((pure, None, local(outs)))
 
     def rule(row):
@@ -512,7 +531,29 @@ def _flatten(k: Kernel) -> Callable[[Row], Dist]:
         # rows are merged, so the masses are positive and sum to 1
         return Dist._trusted(table)
 
-    return rule
+    return rule, None
+
+
+def _row_rule(first, pure, proj) -> tuple:
+    """``(rule, fn)`` of a program of pure ops only: ``fn`` runs them in
+    order on the live input slots ``first(row)`` and returns the output
+    row ``proj(slots)``, keeping each row it computes until its cache
+    reaches ``CACHE_ROWS`` rows, and ``rule`` is the point at that row."""
+    cache = {}
+
+    def fn(row):
+        y = cache.get(row)
+        if y is None:
+            s = list(first(row))
+            for f, get in pure:
+                s += f(get(s))
+            y = proj(s)
+            if len(cache) >= CACHE_ROWS:
+                cache.clear()
+            cache[row] = y
+        return y
+
+    return (lambda row: Dist._trusted({fn(row): ONE})), fn
 
 
 def det_kernel(in_shape, out_shape, fn: Callable[[Row], Row]) -> Kernel:

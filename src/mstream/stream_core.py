@@ -27,9 +27,13 @@ nothing reads. Each input row is then evaluated forward over a table from
 the values of the slots still read to their masses: each stochastic op
 expands every entry by its rows, and entries that agree on the slots read
 later merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths.
-Each row builds one :class:`Dist`, so a deterministic tick builds one. Only
-the evaluated kernel holds a cache, and that cache is cleared when it
-reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
+Each row of such a tick builds one :class:`Dist`. A tick whose program keeps
+no stochastic op is one row function instead (``Kernel.row_fn``), from the
+memory ++ input row to the new memory ++ output row: execution and
+observation call it directly, and a deterministic tick builds no ``Dist``.
+Only the evaluated kernel holds a cache, of rows or of ``Dist`` objects,
+and that one cache is cleared when it reaches ``kernel.CACHE_ROWS`` rows,
+so long runs keep bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
@@ -536,8 +540,13 @@ def wait_stream(shape) -> Stream:
 def _tick_rows(f: Stream, t: int, rows) -> tuple:
     """``(L, table)`` for tick ``t`` of ``f``: ``table`` maps each memory ++
     input row of ``rows`` to ``[(new memory, output, mass * L)]``, where
-    ``L`` is the least common multiple of the rows' mass denominators."""
+    ``L`` is the least common multiple of the rows' mass denominators. A
+    kernel with a row function gives ``L = 1`` and one entry of weight 1
+    per row."""
     k, lm = f.kernel(t), len(f.mem.at(t + 1))
+    step = k.row_fn()
+    if step is not None:
+        return 1, {r: [(v[:lm], v[lm:], 1)] for r in rows for v in (step(r),)}
     dists = [(r, k.dist(r).pairs()) for r in rows]
     L = lcm(*[q.denominator for _, d in dists for _, q in d])
     return L, {r: [(v[:lm], v[lm:], q.numerator * (L // q.denominator))
@@ -752,20 +761,27 @@ def _trace(f: Stream, inputs, n: int, choose) -> Iterator[Row]:
     """Yields the output rows of ticks 0..n, each as soon as it is computed,
     taking ``choose(t, dist)`` as tick t's memory and output row.
 
-    The input shape, the kernel and the memory width are stationary from
-    tick ``f.n`` on, so they are looked up only until then. A tick's input
-    is checked against its shape only when inputs are given or the shape
-    is not empty."""
+    A tick whose kernel has a row function (``Kernel.row_fn``) takes that
+    function's row and builds no ``Dist``: its ``dist`` is the point at that
+    row, on which ``choose`` returns the row and draws nothing. The input
+    shape, the kernel and the memory width are stationary from tick ``f.n``
+    on, so they are looked up only until then. A tick's input is checked
+    against its shape only when inputs are given or the shape is not
+    empty."""
     m_row = x = ()
     for t in range(n + 1):
         if t <= f.n:
             x_shape = f.x.at(t)
-            dist = f.kernel(t).dist
+            k = f.kernel(t)
+            step, dist = k.row_fn(), k.dist
             lm = len(f.mem.at(t + 1))
             check = inputs is not None or x_shape
         if check:
             x = _input_row(inputs, t, x_shape)
-        row = choose(t, dist(m_row + x))
+        if step is None:
+            row = choose(t, dist(m_row + x))
+        else:
+            row = step(m_row + x)
         m_row = row[:lm]
         yield row[lm:]
 

@@ -872,6 +872,24 @@ def test_streamed_lines_match_the_buffered_format(any_int_digits, kind,
     assert list(got) == want
 
 
+@pytest.mark.parametrize("trial", [None, 3])
+def test_json_lines_write_rows_as_json_does(any_int_digits, trial):
+    """Rows of plain ints are joined without ``json``; every ``out`` still
+    has the bytes of ``json.dumps``, bools (ints in Python) included."""
+    rows = [(0,), (-1, 7), (-(10 ** 99999),), (True,), (False, 0),
+            (None,), ((1, (True, None)), -2), ()]
+    head = '{"t": ' if trial is None else f'{{"trial": {trial}, "t": '
+    assert list(_trace_lines(iter(rows), "json", trial)) == [
+        f'{head}{t}, "out": {json.dumps(row)}}}' for t, row in enumerate(rows)]
+
+
+def test_run_writes_bool_outputs_as_json(capsys):
+    code, out, _ = cli(capsys, "run", "par(const(false:bool)@0, "
+                       "const(-3:int)@0)", "--steps", "1")
+    assert (code, out) == (0, '{"t": 0, "out": [false, -3]}\n'
+                              '{"t": 1, "out": [false, -3]}\n')
+
+
 class Sink:
     """A stdout that keeps nothing."""
 
@@ -907,19 +925,57 @@ def test_long_runs_print_in_bounded_memory(argv, small, large):
     assert grown <= 2 ** 20, f"peak grew by {grown / 2 ** 20:.1f} MB"
 
 
+def evaluated_ticks(monkeypatch):
+    """The ticks the engine evaluates, as ``(entry, row)``: each call of a
+    row function that ``Kernel.row_fn`` hands out, and each ``Kernel.dist``
+    call not made inside another (a flat program's stochastic leaves are
+    called through their ``dist``)."""
+    calls, depth = [], []
+    row_fn, dist = Kernel.row_fn, Kernel.dist
+
+    def counted_row_fn(self):
+        fn = row_fn(self)
+        if fn is None:
+            return None
+
+        def step(row):
+            calls.append(("row_fn", row))
+            return fn(row)
+        return step
+
+    def counted_dist(self, row):
+        if not depth:
+            calls.append(("dist", row))
+        depth.append(row)
+        try:
+            return dist(self, row)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(Kernel, "row_fn", counted_row_fn)
+    monkeypatch.setattr(Kernel, "dist", counted_dist)
+    return calls
+
+
+class Closed:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError("closed")
+
+
 def test_run_stops_at_the_first_line_that_cannot_be_written(monkeypatch):
-    calls = []
-    dist = Kernel.dist
-
-    def counted(self, row):
-        calls.append(row)
-        return dist(self, row)
-
-    class Closed:
-        def write(self, text):
-            raise BrokenPipeError("closed")
-
-    monkeypatch.setattr(Kernel, "dist", counted)
+    calls = evaluated_ticks(monkeypatch)
     with contextlib.redirect_stdout(Closed()):
         assert main(["run", COUNTERS, "--steps", "100000"]) == 0
     assert 1 <= len(calls) <= 2
+    assert {entry for entry, _ in calls} == {"row_fn"}
+
+
+def test_sample_stops_at_the_first_line_that_cannot_be_written(monkeypatch):
+    """Every Ehrenfest tick draws, so its ticks keep the ``Dist`` path."""
+    calls = evaluated_ticks(monkeypatch)
+    with contextlib.redirect_stdout(Closed()):
+        assert main(["sample", EHRENFEST, "--steps", "100000"]) == 0
+    assert 1 <= len(calls) <= 2
+    assert {entry for entry, _ in calls} == {"dist"}

@@ -3,6 +3,8 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from mstream.errors import (
     ParseError,
     TermTypeError,
 )
-from mstream.kernel import BOOL, INT, Dist, IntRange
+from mstream.kernel import BOOL, CACHE_ROWS, INT, Dist, IntRange, det_kernel
 from mstream.lang import (
     Analysis,
     BinOp,
@@ -34,6 +36,7 @@ from mstream.lang import (
 from mstream.sfg_ir import (
     Copy,
     Discard,
+    GenSpec,
     Id,
     Sym,
     WireType,
@@ -48,6 +51,7 @@ from scaling import assert_doubling_at_most, nest, stateful_chain
 
 F = Fraction
 SIG = default_signature()
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 FIB_SRC = "fib = 0 fby (fib + (1 fby wait(fib)))\n"
 WALK_SRC = "walk = 0 fby (unif(-1, 1) + walk)\n"
@@ -585,14 +589,62 @@ def test_parse_returns_a_program_or_raises_parse_error():
 
 
 def test_elaboration_agrees_with_reference_evaluator():
+    """Every program runs to the reference rows; a closed one also observes
+    as the point at each row and samples them at any seed, each on a
+    stream compiled afresh, so that no path reads rows another cached."""
     rng = random.Random(0x5EED)
-    checked = 0
+    checked = closed = 0
     while checked < 1000:
         src, values = random_det_program(rng)
         p = parse(src)
         rows = [tuple(values[i.name][t] for i in p.inputs
                       if i.wire.delay <= t) for t in range(8)]
+        want = reference_rows(p, values, 7)
         got = run_det(compile_term(elaborate(p), SIG),
                       rows if p.inputs else None, None if p.inputs else 7)
-        assert got == reference_rows(p, values, 7), src
+        assert got == want, src
         checked += 1
+        if p.inputs:
+            continue
+        assert observe_marginals(compile_term(elaborate(p), SIG), 7) \
+            == [Dist({row: 1}) for row in want], src
+        for seed in (0, 2024):
+            assert sample_trace(compile_term(elaborate(p), SIG), None, 7,
+                                seed) == want, src
+        closed += 1
+    assert closed >= 250, closed
+
+
+def test_row_functions_keep_and_clear_their_rows():
+    """Closed forms of runs whose tick kernels meet a row again, so their
+    rows come from the row cache, and of runs longer than the cache holds,
+    so it is cleared. Memory rows recur in the running sum with other
+    inputs, which the cache must tell apart."""
+    sig, calls = default_signature(), []
+    sig.gens["minus"] = GenSpec("minus", det_kernel(
+        (INT, INT), (INT,), lambda r: calls.append(r) or (r[0] - r[1],)))
+    flip = compile_term(elaborate(parse("main = 0 fby (1 - main)\n")), sig)
+    assert run_det(flip, n=20000) == [(t % 2,) for t in range(20001)]
+    assert len(calls) <= 2 * (flip.n + 1), len(calls)
+    assert observe_marginals(flip, 8) == [Dist({(t % 2,): 1})
+                                          for t in range(9)]
+
+    def program(name):
+        return compile_term(elaborate(parse(
+            (PROGRAMS / name).read_text())), SIG)
+
+    n = 5000
+    assert n > CACHE_ROWS
+    want = [(t + 1,) for t in range(n + 1)]
+    assert run_det(program("counters.ms"), n=n) == want
+    assert sample_trace(program("counters.ms"), None, n, 3) == want
+    assert observe_marginals(program("counters.ms"), n) == [
+        Dist({row: 1}) for row in want]
+
+    rng = random.Random(1)
+    xs = [rng.choice((-1, 0, 1)) for _ in range(n + 1)]
+    sums = [(0,)] + [(v,) for v in accumulate(xs[:-1])]
+    seen = {}  # the last input and sum, with the next input
+    assert any(seen.setdefault((xs[t - 1], sums[t - 1]), xs[t]) != xs[t]
+               for t in range(1, n + 1))
+    assert run_det(program("running_sum.ms"), [(x,) for x in xs]) == sums

@@ -47,6 +47,7 @@ from mstream.stream_core import (
     first_difference,
     identity,
     iter_det,
+    iter_sample,
     lift_const,
     lift_seq,
     obs_equal,
@@ -962,7 +963,13 @@ def test_rule_built_dists_are_checked_dists():
     assert built >= 4000
 
 
-def test_deterministic_tick_builds_one_dist(monkeypatch):
+@pytest.mark.parametrize("run", [
+    lambda f, n: run_det(f, n=n),
+    lambda f, n: list(iter_sample(f, None, n, 7)),
+], ids=["run_det", "iter_sample"])
+def test_deterministic_run_builds_no_dist_per_tick(monkeypatch, run):
+    """fib's ticks draw nothing, so their kernels run as row functions: 60
+    ticks build as many ``Dist`` objects, checked or not, as 10."""
     fib = (Path(__file__).resolve().parent.parent / "programs" / "fib.ms")
     sig = default_signature()
     built = []
@@ -982,9 +989,9 @@ def test_deterministic_tick_builds_one_dist(monkeypatch):
     for n in (10, 60):
         f = compile_term(elaborate(parse(fib.read_text())), sig)
         del built[:]
-        run_det(f, n=n)
+        assert len(run(f, n)) == n + 1
         counts.append(len(built))
-    assert counts[1] - counts[0] <= 50, counts
+    assert counts[0] == counts[1], counts
 
 
 def test_dead_stochastic_ops_are_dropped():
