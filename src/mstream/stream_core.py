@@ -50,6 +50,7 @@ tables.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -577,6 +578,11 @@ class _Observation:
     built earlier in the tick; ``weights``, ``truncation`` and
     ``same_truncation`` then work once per distinct table or pair of
     tables. The state cap still counts a table's entries once per prefix.
+
+    A tick that would pass the cap is refused before any of its tables is
+    built: unless a bound on the tick's entries fits under the cap,
+    ``advance`` counts them first (:meth:`_count_entries`) and raises
+    ``StateCapExceeded`` at the prefix where building would have passed it.
     """
 
     def __init__(self, stream: Stream, cap: Optional[int] = None):
@@ -597,10 +603,13 @@ class _Observation:
         tables = {id(w): w for w in self.j.values()}
         mems = {prev[:lm] for w in tables.values() for prev in w}
         L, rows = _tick_rows(f, t, [m + x for m in mems for x in x_rows])
+        # no history takes more entries on x than the widest row of x
+        widest = sum(max(len(rows[m + x]) for m in mems) for x in x_rows)
+        if sum(map(len, self.j.values())) * widest > self.cap:
+            self._count_entries(lm, x_rows, rows)
         new_j = {}
         built = {}  # (id(table), input row) -> the table it leads to
         by_hash = {}  # order-independent hash -> first table built with it
-        total = 0
         for xs, w in self.j.items():
             for x in x_rows:
                 acc = built.get((id(w), x))
@@ -616,12 +625,60 @@ class _Observation:
                         acc = same
                     built[id(w), x] = acc
                 new_j[xs + x] = acc
-                total += len(acc)
-                if total > self.cap:
-                    raise StateCapExceeded(total, self.cap, t)
         self.j = new_j
         self.scale *= L
         self.t = t + 1
+
+    def _count_entries(self, lm, x_rows, rows) -> None:
+        """Counts this tick's table entries prefix by prefix, as the build
+        loop of :meth:`advance` meets them, without building any table, and
+        raises ``StateCapExceeded`` at the prefix where the count passes
+        the cap.
+
+        A table built from ``w`` on input ``x`` keys new memory ++ history
+        ++ new output, and every weight is positive, so for each history
+        ``ys`` in ``w`` it has one entry per distinct (new memory, output)
+        of ``rows[m + x]`` over the memory rows ``m`` beside ``ys``. That
+        number depends only on the set of those memory rows and on ``x``,
+        so it is taken once per pair.
+        """
+        unions = {}  # (memory rows, x) -> distinct (new memory, output)
+        counts = {}  # id(table) -> [entries of its table on each x]
+        total = 0
+        for w in self.j.values():
+            ns = counts.get(id(w))
+            if ns is None:
+                if lm == 0:  # every key is a history beside the empty row
+                    patterns = {(): len(w)}
+                else:
+                    # history -> its one memory row, or a set of several
+                    beside = {}
+                    for prev in w:
+                        ys, m = prev[lm:], prev[:lm]
+                        ms = beside.setdefault(ys, m)
+                        if ms != m:
+                            if type(ms) is tuple:
+                                ms = beside[ys] = {ms}
+                            ms.add(m)
+                    patterns = Counter(
+                        ms if type(ms) is tuple else frozenset(ms)
+                        for ms in beside.values())
+                ns = counts[id(w)] = []
+                for x in x_rows:
+                    n = 0
+                    for ms, k in patterns.items():
+                        u = unions.get((ms, x))
+                        if u is None:
+                            u = unions[ms, x] = (
+                                len(rows[ms + x]) if type(ms) is tuple
+                                else len({(m2, y) for m in ms
+                                          for m2, y, _ in rows[m + x]}))
+                        n += k * u
+                    ns.append(n)
+            for n in ns:
+                total += n
+                if total > self.cap:
+                    raise StateCapExceeded(total, self.cap, self.t)
 
     def weights(self) -> dict:
         """Memory-discarded integer weights over ``scale``:

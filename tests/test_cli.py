@@ -270,6 +270,16 @@ def test_exact_state_cap_exits_5(capsys):
                               "(cap 3) at tick ")
 
 
+def test_large_state_cap_exits_5(capsys):
+    three_coins = f"par({TWO_COINS}, unif{{0,1}}@0)"
+    for cmd in (["check", three_coins, three_coins],
+                ["exact", three_coins, "--joint"]):
+        code, out, err = cli(capsys, *cmd, "--state-cap", "30000")
+        assert (code, out) == (5, "")
+        assert err == ("mstream: joint support reached 32768 entries "
+                       "(cap 30000) at tick 4\n")
+
+
 def test_exact_plain_format(capsys):
     code, out, _ = cli(capsys, "exact", WALK, "--steps", "1",
                        "--format", "plain")

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import product
 from math import comb, prod
 from pathlib import Path
 
@@ -442,7 +443,7 @@ class FractionObservation:
     """Reference observation loop: one ``Fraction`` mass per table entry."""
 
     def __init__(self, stream, cap):
-        self.stream, self.cap, self.mem_len = stream, cap, 0
+        self.stream, self.cap, self.mem_len, self.t = stream, cap, 0, 0
         self.j = {(): {(): F(1)}}
 
     def advance(self):
@@ -460,8 +461,9 @@ class FractionObservation:
                 new_j[xs + x] = acc
                 total += len(acc)
                 if total > self.cap:
-                    raise StateCapExceeded(total, self.cap)
+                    raise StateCapExceeded(total, self.cap, self.t)
         self.j, self.mem_len, self.stream = new_j, lm_new, later
+        self.t += 1
 
     def truncation(self):
         out = {}
@@ -481,14 +483,26 @@ def ref_observe(f, n, cap):
     return {xs: Dist(acc) for xs, acc in obs.truncation().items()}
 
 
-def ref_equal(f, g, n, cap):
+def ref_first_difference(f, g, n, cap):
     a, b = FractionObservation(f, cap), FractionObservation(g, cap)
-    for _ in range(n + 1):
+    for k in range(n + 1):
         a.advance()
         b.advance()
         if a.truncation() != b.truncation():
-            return False
-    return True
+            return k
+    return None
+
+
+def ref_equal(f, g, n, cap):
+    return ref_first_difference(f, g, n, cap) is None
+
+
+def or_cap(fn, *args):
+    """``fn(*args)``, or the (size, tick) of the state cap it hits."""
+    try:
+        return fn(*args)
+    except StateCapExceeded as e:
+        return e.size, e.tick
 
 
 def first_cap_hit(observe_at, n):
@@ -524,6 +538,18 @@ def hidden_draw_stream(d):
     joint = Dist({(m,) + y: F(1, 3) * q for m in range(3) for y, q in d.items()})
     k0 = Kernel((), (I3, I01), lambda r: joint)
     kt = Kernel((I3,), (I3, I01), lambda r: joint)
+    return Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
+                  ShapeSeq([()], (I3,)), (k0,), kt)
+
+
+def hidden_walk_stream():
+    """Emits a fair coin and adds it mod 3 to a memory drawn uniformly at
+    tick 0 that never reaches an output: the memory rows beside one output
+    history move to distinct rows."""
+    k0 = Kernel((), (I3, I01), lambda r: Dist(
+        {(m, c): F(1, 6) for m in range(3) for c in range(2)}))
+    kt = Kernel((I3,), (I3, I01), lambda r: Dist(
+        {((r[0] + c) % 3, c): F(1, 2) for c in range(2)}))
     return Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
                   ShapeSeq([()], (I3,)), (k0,), kt)
 
@@ -637,6 +663,66 @@ def test_first_difference_cap_hit_matches_fraction_reference():
             assert first_difference(f, g, horizon, cap) == want, f"seed {seed}"
             decided += 1
     assert hits >= 10 and decided >= 10
+
+
+def test_cap_sweep_matches_fraction_reference(monkeypatch):
+    """``observe`` and ``first_difference`` give the reference's verdict or
+    cap hit, on ticks whose entries are counted before they are built and
+    on ticks whose bound skips the count, both under and over the cap.
+    Beside the random terms, two streams keep several memory rows beside
+    one output history, whose next entries coincide or are distinct."""
+    horizon = 4
+    pairs = [(compile_term(t, FIN), compile_term(u, FIN))
+             for _, t, u in map(random_pair_of_terms, range(40))]
+    pairs.append((hidden_draw_stream(uniform([(0,), (1,)])),
+                  hidden_walk_stream()))
+    ticks = []  # (entries counted, cap passed) per advance
+    advance, count = _Observation.advance, _Observation._count_entries
+
+    def counting(self, *args):
+        ticks[-1][0] = True
+        count(self, *args)
+
+    def recording(self):
+        ticks.append([False, True])
+        advance(self)
+        ticks[-1][1] = False
+
+    monkeypatch.setattr(_Observation, "_count_entries", counting)
+    monkeypatch.setattr(_Observation, "advance", recording)
+    for cap, (i, (f, g)) in product((20, 60, 500, 5000), enumerate(pairs)):
+        for h in (f, g):
+            want = or_cap(ref_observe, h, horizon, cap)
+            got = or_cap(lambda: observe(h, horizon, cap).kernel.table())
+            assert got == want, f"cap {cap}, pair {i}"
+        want = or_cap(ref_first_difference, f, g, horizon, cap)
+        assert or_cap(first_difference, f, g, horizon, cap) == want, \
+            f"cap {cap}, pair {i}"
+    seen = {tuple(k) for k in ticks}
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_capped_tick_is_refused_before_its_tables_are_built():
+    """Three coins pass a cap of 30 000 at tick 4 (8^5 entries): the raising
+    advance allocates less than the tables held from tick 3."""
+    f = par_comp(coin_stream(), par_comp(coin_stream(), coin_stream()))
+    tracemalloc.start()
+    try:
+        obs = _Observation(f, 30_000)
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            obs.advance()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(StateCapExceeded) as e:
+            obs.advance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == ("joint support reached 32768 entries "
+                            "(cap 30000) at tick 4")
+    assert peak - held < held - base, \
+        f"peak {peak - held} bytes over {held - base} bytes held"
 
 
 def test_prefixes_that_reach_one_table_share_it():
