@@ -450,6 +450,7 @@ class Analysis:
     sccs: tuple  # elaboration order; recursive members in zero-delay order
     recursive: frozenset
     widths: dict = field(compare=False)
+    walks: dict = field(compare=False, repr=False)  # name -> _walk at 0
 
 
 def _collect(defn: Definition, nodes):
@@ -638,7 +639,7 @@ def check_causality(p: Program) -> Analysis:
                 bases[n] = b
     widths = {n: len(b) for n, b in bases.items()}
     return Analysis(p, tuple(occs), tuple(sccs), frozenset(recursive),
-                    widths)
+                    widths, walks)
 
 
 # ---------------------------------------------------------------------------
@@ -762,10 +763,11 @@ class _Elab:
                     tuple(w for _, _, outs in kids for w in outs))
         raise ElaborationError(f"unknown expression node {e!r}")
 
-    def _later(self, e, scc):
-        """``later(x, d)`` for walking ``e``: the demand of the second slot of
-        the fby ``x`` at demand d, one more when a node of it has no value at
-        d (a use of ``scc`` has none).  ``slack[id(n)]`` is the least demand
+    def _later(self, name, scc):
+        """``later(x, d)`` for walking the expression of ``name``: the demand
+        of the second slot of the fby ``x`` at demand d, one more when a node
+        of it has no value at d (a use of ``scc`` has none), folded over the
+        walk the causality check took.  ``slack[id(n)]`` is the least demand
         less need in n's subtree, less n's own demand."""
         slack = {}
 
@@ -776,7 +778,7 @@ class _Elab:
             slack[id(x)] = lo - d
             return lo
 
-        _fold(_walk(e), note)
+        _fold(self.an.walks[name], note)
         return lambda x, d: d + (d + slack[id(x.rhs)] < 0)
 
     # definitions -----------------------------------------------------------
@@ -785,7 +787,7 @@ class _Elab:
         """One step from ``env`` to the wires of ``name`` followed by the
         blocks still read after SCC ``after``, and the env after it."""
         e = self.exprs[name]
-        nodes = _walk(e, 0, self._later(e, scc))
+        nodes = _walk(e, 0, self._later(name, scc))
         t, uses, outs = _fold(nodes, partial(self.node, scc))
         self.wires[name, False] = outs
         keep = [b for b in env if self.last[b[0][0]] > after]

@@ -42,15 +42,16 @@ the trailing memory discarded.
 Exact observation, of per-tick marginals and of joint tables alike, carries
 integer weights over one shared denominator, which each tick scales by the
 least common multiple of the mass denominators of the kernel rows it reads
-(:func:`_tick_rows`). Input prefixes that reach equal joint tables share one
-copy. Results leave this module as ``Fraction`` masses and :class:`Dist`
-tables.
+(:func:`_tick_rows`). A joint table groups its output histories under the
+memory row they share: a tick reads only that row and the input, and
+extends every history beside it by the tick's output. Input prefixes that
+reach equal joint tables share one copy. Results leave this module as
+``Fraction`` masses and :class:`Dist` tables.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -563,9 +564,11 @@ class _Observation:
     """Incremental exact observation of ``stream`` against all input
     prefixes, ``t`` ticks so far.
 
-    ``j`` maps each flat input prefix row to integer weights over
-    (current memory row ++ output rows so far). All weights share the one
-    denominator ``scale``: an entry of weight ``w`` has mass
+    ``j`` maps each flat input prefix row to a table of integer weights,
+    grouped by the current memory row: {memory row: {output rows so far:
+    weight}}. A tick reads only the memory row and the input, and carries
+    each history along unchanged, so no key holds memory. All weights
+    share the one denominator ``scale``: an entry of weight ``w`` has mass
     ``w / scale``. Each tick multiplies ``scale`` by the ``L`` of its
     :func:`_tick_rows`, so the update is integer arithmetic throughout;
     ``truncation()`` returns ``Dist`` tables.
@@ -577,7 +580,8 @@ class _Observation:
     time its loop reaches the pair, and merges it into an equal table
     built earlier in the tick; ``weights``, ``truncation`` and
     ``same_truncation`` then work once per distinct table or pair of
-    tables. The state cap still counts a table's entries once per prefix.
+    tables. The state cap counts a table's (memory row, history) entries
+    once per prefix.
 
     A tick that would pass the cap is refused before any of its tables is
     built: unless a bound on the tick's entries fits under the cap,
@@ -589,7 +593,7 @@ class _Observation:
         self.cap = state_cap() if cap is None else cap
         self.stream = stream
         self.t = 0
-        self.j = {(): {(): 1}}
+        self.j = {(): {(): {(): 1}}}
         self.scale = 1
 
     def advance(self) -> None:
@@ -598,15 +602,15 @@ class _Observation:
         if not shape_enumerable(x_shape):
             raise NotEnumerable(
                 f"cannot observe over non-enumerable input {x_shape!r}")
-        lm = len(f.mem.at(t))
         x_rows = list(enumerate_rows(x_shape))
         tables = {id(w): w for w in self.j.values()}
-        mems = {prev[:lm] for w in tables.values() for prev in w}
+        mems = {m for w in tables.values() for m in w}
         L, rows = _tick_rows(f, t, [m + x for m in mems for x in x_rows])
         # no history takes more entries on x than the widest row of x
         widest = sum(max(len(rows[m + x]) for m in mems) for x in x_rows)
-        if sum(map(len, self.j.values())) * widest > self.cap:
-            self._count_entries(lm, x_rows, rows)
+        size = {i: sum(map(len, w.values())) for i, w in tables.items()}
+        if sum(size[id(w)] for w in self.j.values()) * widest > self.cap:
+            self._count_entries(x_rows, rows)
         new_j = {}
         built = {}  # (id(table), input row) -> the table it leads to
         by_hash = {}  # order-independent hash -> first table built with it
@@ -615,12 +619,15 @@ class _Observation:
                 acc = built.get((id(w), x))
                 if acc is None:
                     acc = {}
-                    for prev, p in w.items():
-                        ys = prev[lm:]
-                        for m2, y, n in rows[prev[:lm] + x]:
-                            key = m2 + ys + y
-                            acc[key] = acc.get(key, 0) + p * n
-                    same = by_hash.setdefault(sum(map(hash, acc.items())), acc)
+                    for m, hs in w.items():
+                        for m2, y, n in rows[m + x]:
+                            h2 = acc.setdefault(m2, {})
+                            for ys, p in hs.items():
+                                key = ys + y
+                                h2[key] = h2.get(key, 0) + p * n
+                    same = by_hash.setdefault(
+                        sum(hash((m2, frozenset(h2.items())))
+                            for m2, h2 in acc.items()), acc)
                     if same is not acc and same == acc:
                         acc = same
                     built[id(w), x] = acc
@@ -629,52 +636,33 @@ class _Observation:
         self.scale *= L
         self.t = t + 1
 
-    def _count_entries(self, lm, x_rows, rows) -> None:
+    def _count_entries(self, x_rows, rows) -> None:
         """Counts this tick's table entries prefix by prefix, as the build
         loop of :meth:`advance` meets them, without building any table, and
         raises ``StateCapExceeded`` at the prefix where the count passes
         the cap.
 
-        A table built from ``w`` on input ``x`` keys new memory ++ history
-        ++ new output, and every weight is positive, so for each history
-        ``ys`` in ``w`` it has one entry per distinct (new memory, output)
-        of ``rows[m + x]`` over the memory rows ``m`` beside ``ys``. That
-        number depends only on the set of those memory rows and on ``x``,
-        so it is taken once per pair.
+        A table built from ``w`` on input ``x`` holds, under each new
+        memory, one history ``ys + y`` per history ``ys`` of a memory row
+        ``m`` of ``w`` whose ``rows[m + x]`` reaches that new memory with
+        output ``y``. So each (new memory, output) reached adds the size of
+        the union of the histories of the memory rows that reach it.
         """
-        unions = {}  # (memory rows, x) -> distinct (new memory, output)
         counts = {}  # id(table) -> [entries of its table on each x]
         total = 0
         for w in self.j.values():
             ns = counts.get(id(w))
             if ns is None:
-                if lm == 0:  # every key is a history beside the empty row
-                    patterns = {(): len(w)}
-                else:
-                    # history -> its one memory row, or a set of several
-                    beside = {}
-                    for prev in w:
-                        ys, m = prev[lm:], prev[:lm]
-                        ms = beside.setdefault(ys, m)
-                        if ms != m:
-                            if type(ms) is tuple:
-                                ms = beside[ys] = {ms}
-                            ms.add(m)
-                    patterns = Counter(
-                        ms if type(ms) is tuple else frozenset(ms)
-                        for ms in beside.values())
                 ns = counts[id(w)] = []
                 for x in x_rows:
-                    n = 0
-                    for ms, k in patterns.items():
-                        u = unions.get((ms, x))
-                        if u is None:
-                            u = unions[ms, x] = (
-                                len(rows[ms + x]) if type(ms) is tuple
-                                else len({(m2, y) for m in ms
-                                          for m2, y, _ in rows[m + x]}))
-                        n += k * u
-                    ns.append(n)
+                    reach = {}  # (new memory, output) -> memory rows
+                    for m in w:
+                        for m2, y, _ in rows[m + x]:
+                            reach.setdefault((m2, y), []).append(m)
+                    ns.append(sum(
+                        len(w[ms[0]]) if len(ms) == 1
+                        else len(set().union(*map(w.__getitem__, ms)))
+                        for ms in reach.values()))
             for n in ns:
                 total += n
                 if total > self.cap:
@@ -684,18 +672,7 @@ class _Observation:
         """Memory-discarded integer weights over ``scale``:
         input prefix row -> {output rows: weight}, one dict per distinct
         table."""
-        lm = len(self.stream.mem.at(self.t))
-        if lm == 0:
-            return self.j
-
-        def discard_mem(w):
-            acc = {}
-            for row, p in w.items():
-                ys = row[lm:]
-                acc[ys] = acc.get(ys, 0) + p
-            return acc
-
-        return _per_table(self.j, discard_mem)
+        return _per_table(self.j, _discard_mem)
 
     def truncation(self) -> dict:
         """Memory-discarded joint: input prefix row -> ``Dist`` over output
@@ -718,6 +695,18 @@ class _Observation:
         return all(wa.keys() == wb.keys()
                    and all(p * ka == wb[ys] * kb for ys, p in wa.items())
                    for wa, wb in pairs.values())
+
+
+def _discard_mem(w: dict) -> dict:
+    """The history dicts of the table ``w`` merged over its memory rows; a
+    table with one memory row is already its own."""
+    if len(w) == 1:
+        return next(iter(w.values()))
+    acc = {}
+    for hs in w.values():
+        for ys, p in hs.items():
+            acc[ys] = acc.get(ys, 0) + p
+    return acc
 
 
 def _per_table(j: dict, fn) -> dict:

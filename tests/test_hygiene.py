@@ -4,7 +4,8 @@ every private module-level name is read somewhere in the package.
 Runs on the package sources with the stdlib ``ast`` module only, since no
 linter is a dependency. An imported name counts as used when the module
 reads it anywhere (including annotations), lists it in ``__all__``, or
-imports it on a line marked ``# noqa: F401``. A ``_private`` function,
+imports it on a line marked ``# noqa: F401``; such a mark is kept only for
+a name that ``bench/tracing.py`` wraps by name. A ``_private`` function,
 class or constant counts as read when some module of the package names it
 as a variable, an attribute or an import.
 """
@@ -134,17 +135,58 @@ def test_guard_sees_dead_private_name(tmp_path):
     assert dead_private_names(paths) == ["a._Unused", "a._dead"]
 
 
-def test_traced_targets_exist(monkeypatch):
-    """``bench/tracing.py`` wraps each ``(owner, attr)`` of ``TARGETS`` by
-    name, so renaming one of them breaks the traced benchmark run."""
+def _tracing(monkeypatch):
+    """``bench/tracing.py``, loaded without writing bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_targets_exist(monkeypatch):
+    """``bench/tracing.py`` wraps each ``(owner, attr)`` of ``TARGETS`` by
+    name, so renaming one of them breaks the traced benchmark run."""
+    tracing = _tracing(monkeypatch)
     assert [(owner.__name__, attr) for owner, attr, _ in tracing.TARGETS
             if attr not in owner.__dict__] == []
+
+
+def untraced_kept_imports(paths, traced):
+    """``module.name`` for each import marked ``# noqa: F401`` in
+    ``paths`` whose ``(mstream.module, name)`` is not in ``traced``."""
+    out = []
+    for path in paths:
+        text = path.read_text()
+        lines = text.splitlines()
+        out += [f"{path.stem}.{name}"
+                for name, line in _imported(ast.parse(text))
+                if "# noqa: F401" in lines[line - 1]
+                and (f"mstream.{path.stem}", name) not in traced]
+    return sorted(out)
+
+
+def test_kept_imports_are_traced(monkeypatch):
+    """An import kept unused only so that ``bench/tracing.py`` can wrap it
+    by name goes once ``TARGETS`` no longer names it."""
+    traced = {(owner.__name__, attr)
+              for owner, attr, _ in _tracing(monkeypatch).TARGETS}
+    assert untraced_kept_imports(sorted(SRC.glob("*.py")), traced) == []
+
+
+def test_guard_sees_untraced_kept_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "import os  # noqa: F401 - kept for callers\n"
+        "from .x import (\n"
+        "    a,  # noqa: F401\n"
+        "    b,\n"
+        ")\n"
+        "from .y import c  # noqa: F401\n")
+    assert untraced_kept_imports([mod], {("mstream.m", "a")}) == [
+        "m.c", "m.os"]
 
 
 def test_ir_doc_lists_the_term_keywords():

@@ -440,7 +440,8 @@ def test_sample_trace_tick2_frequency_matches_exact():
 # ---------------------------------------------------------------------------
 
 class FractionObservation:
-    """Reference observation loop: one ``Fraction`` mass per table entry."""
+    """Reference observation loop: one ``Fraction`` mass per table entry.
+    ``total`` is the last tick's entry count, summed over prefixes."""
 
     def __init__(self, stream, cap):
         self.stream, self.cap, self.mem_len, self.t = stream, cap, 0, 0
@@ -463,6 +464,7 @@ class FractionObservation:
                 if total > self.cap:
                     raise StateCapExceeded(total, self.cap, self.t)
         self.j, self.mem_len, self.stream = new_j, lm_new, later
+        self.total = total
         self.t += 1
 
     def truncation(self):
@@ -552,6 +554,17 @@ def hidden_walk_stream():
         {((r[0] + c) % 3, c): F(1, 2) for c in range(2)}))
     return Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
                   ShapeSeq([()], (I3,)), (k0,), kt)
+
+
+def stored_coin_stream():
+    """Emits a fair coin and stores it in a memory no output reads: each
+    memory row sits beside the histories that end in it, and both rows
+    reach every entry of the next tick."""
+    joint = Dist({(c, c): F(1, 2) for c in range(2)})
+    k0 = Kernel((), (I01, I01), lambda r: joint)
+    kt = Kernel((I01,), (I01, I01), lambda r: joint)
+    return Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
+                  ShapeSeq([()], (I01,)), (k0,), kt)
 
 
 def test_observe_matches_fraction_reference_on_random_terms():
@@ -668,16 +681,22 @@ def test_first_difference_cap_hit_matches_fraction_reference():
 def test_cap_sweep_matches_fraction_reference(monkeypatch):
     """``observe`` and ``first_difference`` give the reference's verdict or
     cap hit, on ticks whose entries are counted before they are built and
-    on ticks whose bound skips the count, both under and over the cap.
+    on ticks whose bound skips the count, both under and over the cap, and
+    every tick they complete holds the reference's number of entries.
     Beside the random terms, two streams keep several memory rows beside
-    one output history, whose next entries coincide or are distinct."""
+    one output history, whose next entries coincide or are distinct, and
+    in a third the memory rows that reach one entry hold disjoint
+    histories."""
     horizon = 4
     pairs = [(compile_term(t, FIN), compile_term(u, FIN))
              for _, t, u in map(random_pair_of_terms, range(40))]
     pairs.append((hidden_draw_stream(uniform([(0,), (1,)])),
                   hidden_walk_stream()))
+    pairs.append((stored_coin_stream(), coin_stream()))
     ticks = []  # (entries counted, cap passed) per advance
+    entries, totals = [], []  # per completed advance, engine and reference
     advance, count = _Observation.advance, _Observation._count_entries
+    ref_advance = FractionObservation.advance
 
     def counting(self, *args):
         ticks[-1][0] = True
@@ -687,9 +706,16 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
         ticks.append([False, True])
         advance(self)
         ticks[-1][1] = False
+        entries.append(sum(len(hs) for w in self.j.values()
+                           for hs in w.values()))
+
+    def referencing(self):
+        ref_advance(self)
+        totals.append(self.total)
 
     monkeypatch.setattr(_Observation, "_count_entries", counting)
     monkeypatch.setattr(_Observation, "advance", recording)
+    monkeypatch.setattr(FractionObservation, "advance", referencing)
     for cap, (i, (f, g)) in product((20, 60, 500, 5000), enumerate(pairs)):
         for h in (f, g):
             want = or_cap(ref_observe, h, horizon, cap)
@@ -698,6 +724,9 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
         want = or_cap(ref_first_difference, f, g, horizon, cap)
         assert or_cap(first_difference, f, g, horizon, cap) == want, \
             f"cap {cap}, pair {i}"
+        assert entries == totals, f"cap {cap}, pair {i}"
+        entries.clear()
+        totals.clear()
     seen = {tuple(k) for k in ticks}
     assert seen == {(False, False), (True, False), (True, True)}
 
