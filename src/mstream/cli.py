@@ -3,11 +3,11 @@
 ``mstream run|sample|exact|check`` executes ``.ms`` dataflow programs (or IR
 term literals, for ``check``) and emits machine-readable traces and
 distributions.  ``run`` and ``sample`` print each line as soon as its tick is
-computed, so a long run holds one tick at a time; every ``--inputs`` row is
-checked against the program's input shapes before the first tick, so a
-malformed input leaves nothing printed.  ``exact`` and ``check`` compute
-their output in full before printing it, so a state-cap hit at a late tick
-leaves no partial output behind.
+computed, so a long run holds one tick at a time; the engine checks every
+``--inputs`` row against the program's input shapes before it computes the
+first tick, so a malformed input leaves nothing printed.  ``exact`` and
+``check`` compute their output in full before printing it, so a state-cap
+hit at a late tick leaves no partial output behind.
 
 Exit codes: 0 success; 1 check found a difference; 2 syntax errors; 3
 causality or type errors (including malformed inputs); 4 a stochastic program
@@ -47,7 +47,6 @@ from .sfg_ir import (
 )
 from .stream_core import (
     _compare,
-    _input_row,
     iter_det,
     iter_sample,
     obs_equal,  # noqa: F401 - bench/tracing.py wraps cli.obs_equal by name
@@ -125,13 +124,6 @@ def _input_rows(args, stream):
             f"--steps {args.steps} needs {args.steps + 1} input rows, "
             f"got {len(rows)}")
     return rows[:n]
-
-
-def _fit_inputs(stream, rows):
-    """Checks each input row against its tick's input shape, so that a row
-    that does not fit is refused before the first line is printed."""
-    for t in range(len(rows or ())):
-        _input_row(rows, t, stream.x.at(t))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +220,6 @@ def cmd_run(args: argparse.Namespace) -> Iterator[str]:
         trace = iter_det(stream, rows, args.steps)
     else:
         trace = iter_sample(stream, rows, args.steps, args.seed)
-    _fit_inputs(stream, rows)
     return _trace_lines(trace, args.fmt)
 
 
@@ -236,7 +227,6 @@ def cmd_sample(args: argparse.Namespace) -> Iterator[str]:
     """The lines of every trial in turn, each computed when it is taken."""
     _, stream = _build(args, default_signature())
     rows = _input_rows(args, stream)
-    _fit_inputs(stream, rows)
     return chain.from_iterable(
         _trace_lines(iter_sample(stream, rows, args.steps, mix(args.seed, i)),
                      args.fmt, trial=i)

@@ -328,10 +328,10 @@ def sample_bits(d: Dist, k: int) -> Value:
 # Kernels
 # ---------------------------------------------------------------------------
 
-#: A kernel clears its row cache when it holds this many rows, so long runs
-#: over rows that never recur (a counter, fib) keep bounded memory, while
-#: programs whose states recur (bounded memory, enumerated inputs) still
-#: find every row they revisit.
+#: A kernel clears its ``Dist`` cache when it holds this many rows, so long
+#: runs over rows that never recur keep bounded memory, while programs whose
+#: states recur (bounded memory, enumerated inputs) still find every row they
+#: revisit. Ticks that draw nothing (a counter, fib) touch no cache at all.
 CACHE_ROWS = 4096
 
 
@@ -351,9 +351,9 @@ class Kernel:
     once into one flat program (:func:`_flatten`), so only the kernel that is
     evaluated, not the kernels nested in it, holds an evaluator and a cache.
     A program that keeps no stochastic op is a row function, which caches
-    output rows: ``row_fn`` returns it, and ``dist`` is the point at its
-    row, built anew on each call. Any other kernel caches its ``Dist`` per
-    input row. Either cache is cleared when it reaches ``CACHE_ROWS`` rows.
+    nothing: ``row_fn`` returns it, and ``dist`` is the point at its row,
+    built anew on each call. Any other kernel caches its ``Dist`` per input
+    row, the only cache of rows, cleared when it reaches ``CACHE_ROWS`` rows.
     """
 
     __slots__ = ("in_shape", "out_shape", "_rule", "_lower", "_cache", "_fn")
@@ -369,11 +369,11 @@ class Kernel:
         self._fn = None
 
     def dist(self, row: Row) -> Dist:
-        """The output distribution on input ``row``; it is cached, or the
-        row function caches the row it is the point at."""
+        """The output distribution on input ``row``; it is cached, unless
+        it is the point of the row function, which is cheaper to run again."""
         d = self._cache.get(row)
         if d is None:
-            if self.row_fn() is not None:  # it caches its own rows
+            if self.row_fn() is not None:  # a point, not cached
                 return self._rule(row)
             d = self._rule(row)
             if len(self._cache) >= CACHE_ROWS:
@@ -537,21 +537,13 @@ def _flatten(k: Kernel) -> tuple:
 def _row_rule(first, pure, proj) -> tuple:
     """``(rule, fn)`` of a program of pure ops only: ``fn`` runs them in
     order on the live input slots ``first(row)`` and returns the output
-    row ``proj(slots)``, keeping each row it computes until its cache
-    reaches ``CACHE_ROWS`` rows, and ``rule`` is the point at that row."""
-    cache = {}
+    row ``proj(slots)``, and ``rule`` is the point at that row."""
 
     def fn(row):
-        y = cache.get(row)
-        if y is None:
-            s = list(first(row))
-            for f, get in pure:
-                s += f(get(s))
-            y = proj(s)
-            if len(cache) >= CACHE_ROWS:
-                cache.clear()
-            cache[row] = y
-        return y
+        s = list(first(row))
+        for f, get in pure:
+            s += f(get(s))
+        return proj(s)
 
     return (lambda row: Dist._trusted({fn(row): ONE})), fn
 

@@ -646,12 +646,8 @@ _KEYWORDS = {Fbk: "fbk", DelayTerm: "delay", **{
     for kw, cls in terms.items()}}
 
 
-def _wire_str(w: WireType) -> str:
-    return f"{w.base!r}@{w.delay}"
-
-
 def _wires_str(ws: Wires) -> str:
-    return ",".join(_wire_str(w) for w in ws)
+    return ",".join(map(repr, ws))
 
 
 def pretty(t: Term) -> str:
@@ -678,7 +674,7 @@ def _show(t: Term) -> str:
     """The text of the leaf ``t``."""
     kw = _KEYWORDS.get(type(t))
     if kw in _WIRE_TERMS:
-        return f"{kw}[{_wire_str(t.w)}]"
+        return f"{kw}[{t.w!r}]"
     if kw in _WIRES_TERMS:
         return f"{kw}[{_wires_str(t.ws)}]" if t.ws or kw != "id" else "id"
     if isinstance(t, Gen):

@@ -10,10 +10,13 @@ The engine steps a process by tick index, through ``kernel(t)``,
 ``x.at(t)`` and ``mem.at(t + 1)``, so from tick ``n`` on every tick reuses
 the stationary kernel and its cache; ``Stream.unroll`` is the memoized
 coinductive view of the same kernels. Execution is causal: one generator
-(:func:`_trace`) yields each tick's output row as soon as it is computed,
-holding only the memory row between ticks and looking those three up only
-until tick ``n``. :func:`iter_det` and :func:`iter_sample` hand its rows
-out one at a time; :func:`run_det` and :func:`sample_trace` list them.
+(:func:`_trace`) checks every input row against its tick's shape before
+tick 0, then yields each tick's output row as soon as it is computed,
+holding only the memory row between ticks and looking up the kernel and
+the memory width only until tick ``n``. It alone decides a tick's row: a
+row function's, a point ``Dist``'s, or else a draw. :func:`iter_det` and :func:`iter_sample` hand
+its rows out one at a time; :func:`run_det` and :func:`sample_trace` list
+them.
 
 A tick kernel is not evaluated as the tree it was composed as. On its first
 ``dist`` it lowers itself, once, to one flat program of leaf ops over a
@@ -30,10 +33,10 @@ later merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths.
 Each row of such a tick builds one :class:`Dist`. A tick whose program keeps
 no stochastic op is one row function instead (``Kernel.row_fn``), from the
 memory ++ input row to the new memory ++ output row: execution and
-observation call it directly, and a deterministic tick builds no ``Dist``.
-Only the evaluated kernel holds a cache, of rows or of ``Dist`` objects,
-and that one cache is cleared when it reaches ``kernel.CACHE_ROWS`` rows,
-so long runs keep bounded memory.
+observation call it directly, and a deterministic tick builds no ``Dist``
+and caches nothing. The only cache of rows is the evaluated kernel's, of
+one ``Dist`` per row of a tick that draws, and it is cleared when it
+reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
@@ -54,7 +57,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -545,7 +548,7 @@ def _tick_rows(f: Stream, t: int, rows) -> tuple:
     ``L`` is the least common multiple of the rows' mass denominators. A
     kernel with a row function gives ``L = 1`` and one entry of weight 1
     per row."""
-    k, lm = f.kernel(t), len(f.mem.at(t + 1))
+    k, lm = f.kernel(t), f.mem.width(t + 1)
     step = k.row_fn()
     if step is not None:
         return 1, {r: [(v[:lm], v[lm:], 1)] for r in rows for v in (step(r),)}
@@ -796,36 +799,41 @@ def obs_equal(f: Stream, g: Stream, n: int, cap: Optional[int] = None) -> bool:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _input_row(inputs, t: int, x_shape: Shape):
-    x = () if inputs is None else tuple(inputs[t])
+def _checked(x: Row, t: int, x_shape: Shape) -> Row:
     if not row_in_shape(x, x_shape):
         raise ShapeMismatch(f"tick {t}: input {x!r} does not fit {x_shape!r}")
     return x
 
 
 def _trace(f: Stream, inputs, n: int, choose) -> Iterator[Row]:
-    """Yields the output rows of ticks 0..n, each as soon as it is computed,
-    taking ``choose(t, dist)`` as tick t's memory and output row.
+    """Yields the output rows of ticks 0..n, each as soon as it is computed.
 
-    A tick whose kernel has a row function (``Kernel.row_fn``) takes that
-    function's row and builds no ``Dist``: its ``dist`` is the point at that
-    row, on which ``choose`` returns the row and draws nothing. The input
-    shape, the kernel and the memory width are stationary from tick ``f.n``
-    on, so they are looked up only until then. A tick's input is checked
-    against its shape only when inputs are given or the shape is not
-    empty."""
-    m_row = x = ()
-    for t in range(n + 1):
+    Before tick 0 it checks each tick's input row against that tick's
+    input shape, so a row that does not fit raises before any row is
+    yielded. With no inputs every row is ``()``, which fits every tick of
+    a stream without inputs; the input shape is stationary from tick
+    ``f.n`` on, so only ticks up to there are checked. The kernel and the
+    memory width are stationary from then on as well, and are looked up
+    only until then. A tick whose kernel has a row function
+    (``Kernel.row_fn``) takes that function's row and builds no ``Dist``.
+    Any other tick takes its ``Dist``'s point as the row, and calls
+    ``choose(t, dist)`` only for a ``Dist`` that is not a point."""
+    if inputs is None:
+        if f.x.tail_width or any(f.x.widths):  # else every shape is empty
+            for t in range(min(n, f.n) + 1):
+                _checked((), t, f.x.at(t))
+        xs = repeat((), n + 1)
+    else:
+        xs = [_checked(tuple(inputs[t]), t, f.x.at(t)) for t in range(n + 1)]
+    m_row = ()
+    for t, x in enumerate(xs):
         if t <= f.n:
-            x_shape = f.x.at(t)
             k = f.kernel(t)
             step, dist = k.row_fn(), k.dist
-            lm = len(f.mem.at(t + 1))
-            check = inputs is not None or x_shape
-        if check:
-            x = _input_row(inputs, t, x_shape)
+            lm = f.mem.width(t + 1)
         if step is None:
-            row = choose(t, dist(m_row + x))
+            d = dist(m_row + x)
+            row = d.the_value() if d.is_dirac else choose(t, d)
         else:
             row = step(m_row + x)
         m_row = row[:lm]
@@ -833,10 +841,8 @@ def _trace(f: Stream, inputs, n: int, choose) -> Iterator[Row]:
 
 
 def _point(t: int, d: Dist) -> Row:
-    if not d.is_dirac:
-        raise NondeterministicStream(
-            f"tick {t}: kernel produced a non-point distribution")
-    return d.the_value()
+    raise NondeterministicStream(
+        f"tick {t}: kernel produced a non-point distribution")
 
 
 def iter_det(f: Stream, inputs=None,
@@ -863,8 +869,7 @@ def run_det(f: Stream, inputs=None, n: Optional[int] = None) -> list:
 def iter_sample(f: Stream, inputs, n: int, seed: int) -> Iterator[Row]:
     """The rows of :func:`sample_trace`, yielded one tick at a time."""
     g = SplitMix64(seed)
-    return _trace(f, inputs, n, lambda t, d: d.the_value() if d.is_dirac
-                  else sample_bits(d, g.next_uint64()))
+    return _trace(f, inputs, n, lambda t, d: sample_bits(d, g.next_uint64()))
 
 
 def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:

@@ -16,38 +16,47 @@ def nest(n):
     return "main = " + "0 fby (" * n + "1" + ")" * n + "\n"
 
 
-def assert_doubling_at_most(inputs, stages, bound=2.5, runs=5):
+def assert_doubling_at_most(inputs, stages, bound=2.5, runs=5, most=15):
     """Each stage's minimum time at size 2n is at most ``bound`` times its
     minimum at n.
 
     ``inputs`` maps n and 2n to the input of the first stage, and
     ``stages`` lists ``(name, fn)``, each ``fn`` taking what the stage
-    before returned. Each stage runs at n and then at 2n, and the whole
-    pipeline ``runs`` times, so that the two sizes of a stage are timed
-    next to each other. The times are CPU times of this process, with the
-    collector off, as under ``timeit``: a shared host that preempts the
-    process, or a collector pass that costs in proportion to the whole
-    heap, would otherwise count against whichever size it lands on.
+    before returned. A run takes the whole pipeline once and times each
+    stage at both sizes next to each other, n first in even runs and 2n
+    first in odd ones, so that neither size is always timed second. The
+    minima are compared after ``runs`` runs and, if a stage is over the
+    bound, once more after ``most`` runs: the extra runs give each size of
+    a stage whose time at most doubles more chances at a quiet spell of a
+    shared host, while the minima of a superlinear stage only come closer
+    to its true ratio. The times are CPU times of this process, with the
+    collector off, as under ``timeit``: a host that preempts the process,
+    or a collector pass that costs in proportion to the whole heap, would
+    otherwise count against whichever size it lands on.
     """
+    n, n2 = sorted(inputs)
     best = {}
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(runs):
+        for run in range(most):
             gc.collect()
             values = dict(inputs)
             for name, fn in stages:
-                for size in sorted(values):
+                for size in (n, n2) if run % 2 == 0 else (n2, n):
                     start = time.process_time()
                     values[size] = fn(values[size])
                     secs = time.process_time() - start
                     best[name, size] = min(best.get((name, size), secs),
                                            secs)
             del values
+            if run + 1 in (runs, most):
+                slow = {name: (best[name, n], best[name, n2])
+                        for name, _ in stages
+                        if best[name, n2] > bound * best[name, n]}
+                if not slow:
+                    break
     finally:
         if enabled:
             gc.enable()
-    n, n2 = sorted(inputs)
-    slow = {name: (best[name, n], best[name, n2]) for name, _ in stages
-            if best[name, n2] > bound * best[name, n]}
     assert not slow, slow

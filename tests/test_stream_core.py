@@ -392,9 +392,19 @@ def test_run_det_rejects_stochastic_tick():
 
 
 def test_run_det_validates_inputs():
+    """A row that does not fit raises, naming its tick, before a run or a
+    draw yields the row of any tick."""
     s = identity(ShapeSeq.constant((I01,)))
     with pytest.raises(ShapeMismatch):
         run_det(s, [(7,)])
+    rows = [(0,), (1,), (7,)]
+    for trace in (iter_det(s, rows), iter_sample(s, rows, 2, 0)):
+        with pytest.raises(ShapeMismatch, match=r"^tick 2: input \(7,\) "):
+            next(trace)
+    late = identity(ShapeSeq(((),), (I01,)))  # takes input from tick 1
+    for trace in (iter_det(late, n=2), iter_sample(late, None, 2, 0)):
+        with pytest.raises(ShapeMismatch, match=r"^tick 1: input \(\) "):
+            next(trace)
 
 
 @pytest.mark.parametrize("run", [iter_det, run_det])
@@ -409,6 +419,23 @@ def test_sample_trace_deterministic_stream_equals_run_det():
     c = counter_stream()
     for seed in (0, 1, 12345):
         assert sample_trace(c, None, 5, seed) == run_det(c, n=5)
+
+
+def test_a_point_tick_draws_nothing():
+    """Ticks whose ``Dist`` is a point, though their kernel is no row
+    function, run deterministically and take no random bits: a coin after
+    them draws as it does after ticks that run as row functions."""
+    point = Kernel((), (I01,), lambda r: dirac((1,)))
+    fn = det_kernel((), (I01,), lambda r: (1,))
+    coin = dist_source(uniform([0, 1]), I01)
+    assert point.row_fn() is None and fn.row_fn() is not None
+    assert run_det(lift_seq((point, point), coin), n=1) == [(1,), (1,)]
+    draws = set()
+    for seed in range(8):
+        got = sample_trace(lift_seq((point, point), coin), None, 5, seed)
+        assert got == sample_trace(lift_seq((fn, fn), coin), None, 5, seed)
+        draws.add(got[2])
+    assert draws == {(0,), (1,)}
 
 
 def test_sample_trace_reproducible_and_walk_shaped():
