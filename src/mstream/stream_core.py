@@ -14,9 +14,9 @@ coinductive view of the same kernels. Execution is causal: one generator
 tick 0, then yields each tick's output row as soon as it is computed,
 holding only the memory row between ticks and looking up the kernel and
 the memory width only until tick ``n``. It alone decides a tick's row: a
-row function's, a point ``Dist``'s, or else a draw. :func:`iter_det` and :func:`iter_sample` hand
-its rows out one at a time; :func:`run_det` and :func:`sample_trace` list
-them.
+row function's, a point ``Dist``'s, or else a draw. :func:`iter_det` and
+:func:`iter_sample` hand its rows out one at a time; :func:`run_det` and
+:func:`sample_trace` list them.
 
 A tick kernel is not evaluated as the tree it was composed as. On its first
 ``dist`` it lowers itself, once, to one flat program of leaf ops over a

@@ -16,7 +16,7 @@ def nest(n):
     return "main = " + "0 fby (" * n + "1" + ")" * n + "\n"
 
 
-def assert_doubling_at_most(inputs, stages, bound=2.5, runs=5, most=15):
+def assert_doubling_at_most(inputs, stages, bound=2.5, runs=5):
     """Each stage's minimum time at size 2n is at most ``bound`` times its
     minimum at n.
 
@@ -26,20 +26,20 @@ def assert_doubling_at_most(inputs, stages, bound=2.5, runs=5, most=15):
     stage at both sizes next to each other, n first in even runs and 2n
     first in odd ones, so that neither size is always timed second. The
     minima are compared after ``runs`` runs and, if a stage is over the
-    bound, once more after ``most`` runs: the extra runs give each size of
-    a stage whose time at most doubles more chances at a quiet spell of a
-    shared host, while the minima of a superlinear stage only come closer
-    to its true ratio. The times are CPU times of this process, with the
-    collector off, as under ``timeit``: a host that preempts the process,
-    or a collector pass that costs in proportion to the whole heap, would
-    otherwise count against whichever size it lands on.
+    bound, once more after ``3 * runs`` runs: the extra runs give each
+    size of a stage whose time at most doubles more chances at a quiet
+    spell of a shared host, while the minima of a superlinear stage only
+    come closer to its true ratio. The times are CPU times of this
+    process, with the collector off, as under ``timeit``: a host that
+    preempts the process, or a collector pass that costs in proportion to
+    the whole heap, would otherwise count against whichever size it lands on.
     """
     n, n2 = sorted(inputs)
     best = {}
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for run in range(most):
+        for run in range(3 * runs):
             gc.collect()
             values = dict(inputs)
             for name, fn in stages:
@@ -50,7 +50,7 @@ def assert_doubling_at_most(inputs, stages, bound=2.5, runs=5, most=15):
                     best[name, size] = min(best.get((name, size), secs),
                                            secs)
             del values
-            if run + 1 in (runs, most):
+            if run + 1 in (runs, 3 * runs):
                 slow = {name: (best[name, n], best[name, n2])
                         for name, _ in stages
                         if best[name, n2] > bound * best[name, n]}

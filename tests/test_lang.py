@@ -615,11 +615,13 @@ def test_elaboration_agrees_with_reference_evaluator():
     assert closed >= 250, closed
 
 
-def test_row_functions_keep_and_clear_their_rows():
+def test_long_runs_match_closed_forms():
     """Closed forms of runs whose tick kernels meet a row again, and of
-    runs longer than a kernel's ``Dist`` cache holds, so that it is
-    cleared. Memory rows recur in the running sum with other inputs, which
-    a cache must tell apart."""
+    runs longer than ``CACHE_ROWS`` ticks: deterministic ones, whose ticks
+    are row functions and cache nothing, and one that draws, whose
+    stationary kernel's ``Dist`` cache fills and is cleared on the way.
+    Memory rows recur in the running sum with other inputs, so each of its
+    rows depends on both."""
     sig = default_signature()
     sig.gens["minus"] = GenSpec("minus", det_kernel(
         (INT, INT), (INT,), lambda r: (r[0] - r[1],)))
@@ -647,3 +649,10 @@ def test_row_functions_keep_and_clear_their_rows():
     assert any(seen.setdefault((xs[t - 1], sums[t - 1]), xs[t]) != xs[t]
                for t in range(1, n + 1))
     assert run_det(program("running_sum.ms"), [(x,) for x in xs]) == sums
+
+    coin = compile_term(elaborate(parse(
+        "c = 0 fby (c + 1)\nmain = c + unif(0, 1)\n")), SIG)
+    assert {row[0] - t for t, row in enumerate(sample_trace(coin, None, n,
+                                                             3))} == {0, 1}
+    assert observe_marginals(coin, n) == [
+        Dist({(t,): F(1, 2), (t + 1,): F(1, 2)}) for t in range(n + 1)]
