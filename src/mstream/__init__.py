@@ -3,8 +3,9 @@
 The package is layered:
 
 - :mod:`mstream.kernel` — finite exact probability: bases, distributions
-  with `Fraction` weights, kernels and the Markov-category structure on
-  them (copy/discard, conditionals, ranges).
+  held as integer weights over one denominator and read as `Fraction`
+  masses, kernels and the Markov-category structure on them
+  (copy/discard, conditionals, ranges).
 - :mod:`mstream.stream_core` — the `Stream` of kernels: a short prefix of
   tick kernels, then one stationary kernel, threading memory from tick to
   tick.

@@ -3,9 +3,10 @@
 A kernel is a total map from input rows (tuples of values, one per wire) to
 exact distributions over output rows. Deterministic maps are the kernels all
 of whose outputs are Dirac. Composite kernels are evaluated as one flat
-program of their leaves (see :class:`Kernel`). Probabilities are
-``fractions.Fraction`` throughout; composition, marginals, conditionals and
-ranges are exact, so tests compare tables with ``==`` and no tolerances.
+program of their leaves (see :class:`Kernel`). Every mass is a positive integer
+weight over its table's one denominator, and reaches callers as a
+``fractions.Fraction``; composition, marginals, conditionals and ranges are
+exact, so tests compare tables with ``==`` and no tolerances.
 """
 
 from __future__ import annotations
@@ -14,19 +15,12 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .errors import BadIndex, EmptySupport, NotEnumerable, ShapeMismatch
 from .values import Row, Value, is_value, value_key, value_str
-
-#: Every Dirac table holds this one object. The product rules below pass the
-#: other factor through when a mass ``is ONE``, so Dirac rows multiply
-#: nothing; a mass equal to 1 but another object is multiplied exactly.
-ONE = Fraction(1)
-ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # Wire shapes
@@ -180,109 +174,114 @@ def row_in_shape(row: Row, shape: Shape) -> bool:
 class Dist:
     """Exact finite-support distribution over values.
 
-    Entries with zero mass are pruned at construction and the total mass must
-    be exactly 1. Masses already of type ``Fraction`` are kept, not copied;
-    any other mass is converted with ``Fraction(q)``. Instances are immutable
-    and compare by table equality. A composite kernel builds one ``Dist`` per
-    input row, from the table its flat program accumulates, without checking
-    it again (:meth:`_trusted`); the kernels nested in it build none, and
-    a program that draws nothing builds one only when its ``dist`` is
+    A mass is held as a positive integer weight over the one denominator
+    ``den``, the least common multiple of the reduced denominators of the
+    masses, so that ``gcd(den, *weights)`` is 1: this canonical form makes
+    equality and hashing compare masses. ``__init__`` takes ``Fraction``,
+    ``int`` or ``bool`` masses, prunes the zero ones, sums duplicates and
+    checks that the total is exactly 1; ``[]``, :meth:`items`,
+    :meth:`pairs` and ``repr`` hand masses out as ``Fraction``. Instances
+    are immutable. A composite kernel builds one ``Dist`` per input row,
+    from the integer table its flat program accumulates, without checking
+    it again (:meth:`_trusted`); the composites nested in it build none,
+    and a program that draws nothing builds one only when its ``dist`` is
     asked for. The first draw builds and keeps :meth:`cdf`.
     """
 
-    __slots__ = ("_p", "_cdf")
+    __slots__ = ("weights", "den", "_cdf")
 
     def __init__(self, mapping):
         p = {}
-        total = None
         for v, q in mapping.items() if isinstance(mapping, dict) else mapping:
-            if type(q) is not Fraction:
-                q = Fraction(q)
-            if q.numerator <= 0:
-                if q.numerator < 0:
-                    raise ValueError(f"negative mass {q} at {v!r}")
-                continue
-            r = p.get(v)
-            p[v] = q if r is None else r + q
-            total = q if total is None else total + q
+            q = Fraction(q)
+            if q < 0:
+                raise ValueError(f"negative mass {q} at {v!r}")
+            if q:
+                p[v] = p.get(v, 0) + q
+        total = sum(p.values())
         if total != 1:
-            raise ValueError(f"masses sum to {total or 0}, not 1")
-        self._p = p
+            raise ValueError(f"masses sum to {total}, not 1")
+        self.den = den = lcm(*[q.denominator for q in p.values()])
+        self.weights = {v: q.numerator * (den // q.denominator)
+                        for v, q in p.items()}
         self._cdf = None
 
     def __getitem__(self, v) -> Fraction:
-        return self._p.get(v, ZERO)
+        return Fraction(self.weights.get(v, 0), self.den)
 
     def __iter__(self):
         return iter(self.support())
 
     def __len__(self):
-        return len(self._p)
+        return len(self.weights)
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and self._p == other._p
+        return (isinstance(other, Dist) and self.den == other.den
+                and self.weights == other.weights)
 
     def __hash__(self):
-        return hash(frozenset(self._p.items()))
+        return hash((self.den, frozenset(self.weights.items())))
 
     def __repr__(self):
         inner = ", ".join(f"{v!r}: {q}" for v, q in self.items())
         return "Dist({" + inner + "})"
 
     def items(self):
-        return sorted(self._p.items(), key=lambda kv: value_key(kv[0]))
+        return sorted(self.pairs(), key=lambda kv: value_key(kv[0]))
 
     def pairs(self):
-        """Like items() but in arbitrary order (no sort; hot paths)."""
-        return self._p.items()
+        """Like items() but in arbitrary order (no sort)."""
+        den = self.den
+        return [(v, Fraction(w, den)) for v, w in self.weights.items()]
 
     def support(self):
-        return sorted(self._p, key=value_key)
+        return sorted(self.weights, key=value_key)
 
     def cdf(self) -> tuple:
         """``(values, cum, den)``: the support in canonical order and its
-        cumulative masses as integers over their common denominator ``den``;
-        built on the first call and kept."""
+        cumulative weights over ``den``; built on the first call and kept."""
         if self._cdf is None:
-            p, vs = self._p, tuple(self.support())
-            den = lcm(*(q.denominator for q in p.values()))
+            vs = tuple(self.support())
             self._cdf = vs, tuple(itertools.accumulate(
-                p[v].numerator * (den // p[v].denominator) for v in vs)), den
+                map(self.weights.__getitem__, vs))), self.den
         return self._cdf
 
     @property
     def is_dirac(self) -> bool:
-        return len(self._p) == 1
+        return len(self.weights) == 1
 
     def the_value(self) -> Value:
         """The unique supported value of a Dirac distribution."""
         if not self.is_dirac:
             raise ValueError("distribution is not Dirac")
-        return next(iter(self._p))
+        return next(iter(self.weights))
 
     @classmethod
-    def _trusted(cls, p: dict) -> "Dist":
-        """The ``Dist`` of ``p`` without the checks of ``__init__``, for a
-        table of ``Fraction`` masses already known to be positive and to
-        sum to 1; ``p`` is kept, not copied."""
+    def _trusted(cls, weights: dict, den: int) -> "Dist":
+        """The ``Dist`` of positive integer ``weights`` over ``den`` without
+        the checks of ``__init__``, for weights already known to sum to
+        ``den``; they are divided by their common factor with ``den``, and
+        otherwise kept, not copied."""
+        g = gcd(den, *weights.values())
+        if g != 1:
+            weights = {v: w // g for v, w in weights.items()}
+            den //= g
         d = cls.__new__(cls)
-        d._p = p
-        d._cdf = None
+        d.weights, d.den, d._cdf = weights, den, None
         return d
 
     def map(self, f) -> "Dist":
         """Exact pushforward along ``f``."""
         out = {}
-        for v, q in self._p.items():
-            w = f(v)
-            r = out.get(w)
-            out[w] = q if r is None else r + q
-        return Dist(out)
+        for v, w in self.weights.items():
+            y = f(v)
+            out[y] = out.get(y, 0) + w
+        return Dist._trusted(out, self.den)
 
 
 def dirac(v: Value) -> Dist:
     """The point distribution at ``v``."""
-    return Dist({v: ONE})
+    return Dist._trusted({v: 1}, 1)
 
 
 def uniform(vs) -> Dist:
@@ -292,8 +291,7 @@ def uniform(vs) -> Dist:
         raise EmptySupport("uniform over an empty list")
     if len(set(vs)) != len(vs):
         raise ValueError("uniform values must be distinct")
-    q = Fraction(1, len(vs))
-    return Dist({v: q for v in vs})
+    return Dist._trusted(dict.fromkeys(vs, 1), len(vs))
 
 
 def marginalize(d: Dist, keep) -> Dist:
@@ -348,12 +346,15 @@ class Kernel:
     One of ``rule`` and ``lower`` must be given.
 
     On its first ``dist`` or ``row_fn`` a kernel without a rule lowers itself
-    once into one flat program (:func:`_flatten`), so only the kernel that is
-    evaluated, not the kernels nested in it, holds an evaluator and a cache.
-    A program that keeps no stochastic op is a row function, which caches
-    nothing: ``row_fn`` returns it, and ``dist`` is the point at its row,
-    built anew on each call. Any other kernel caches its ``Dist`` per input
-    row, the only cache of rows, cleared when it reaches ``CACHE_ROWS`` rows.
+    once into one flat program (:func:`_flatten`), so of the composite
+    kernels only the one evaluated, not those nested in it, holds an
+    evaluator and a cache. A program that keeps no stochastic op is a row
+    function, which caches nothing: ``row_fn`` returns it, and ``dist`` is
+    the point at its row, built anew on each call. Any other kernel caches
+    its ``Dist`` per input row, cleared when it reaches ``CACHE_ROWS`` rows.
+    That includes every kernel with a rule, such as a ``unif`` source: its
+    op calls its own ``dist``, so it keeps its own cache beside that of the
+    kernel it is nested in.
     """
 
     __slots__ = ("in_shape", "out_shape", "_rule", "_lower", "_cache", "_fn")
@@ -447,11 +448,14 @@ def _flatten(k: Kernel) -> tuple:
     nothing reads (exact, because every row of a leaf sums to 1) and finds
     the slots each later op still reads. The kept ops are cut after each
     stochastic op into segments. The rule carries a table from rows of live
-    slots to masses through the segments: each entry runs the segment's
-    pure ops on its own short slot list, branches over the rows of the
-    stochastic op, and each branch is projected onto the slots still read
-    after it, so branches that agree there merge into one entry (a mass
-    that ``is ONE`` multiplies nothing). Pure ops never add entries, so the
+    slots to integer weights over one denominator through the segments:
+    each entry runs the segment's pure ops on its own short slot list and
+    branches over the rows of the stochastic op, and each branch is
+    projected onto the slots still read after it, so branches that agree
+    there merge into one entry. The op's ``Dist``s may have different
+    denominators: the table's denominator is multiplied by their lcm, and
+    each entry's weight by that lcm over its own ``Dist``'s denominator,
+    times the branch's weight. Pure ops never add entries, so the
     table before each stochastic op is as small as merging after every op
     would make it, and the last projection, onto the output slots, is the
     row's one :class:`Dist`. When liveness keeps no stochastic op, the
@@ -505,31 +509,32 @@ def _flatten(k: Kernel) -> tuple:
         segments.append((pure, None, local(outs)))
 
     def rule(row):
-        table = {first(row): ONE}
+        table, den = {first(row): 1}, 1
         for pure, op, proj in segments:
-            new = {}
+            new, branches = {}, []
             for key, m in table.items():
                 s = list(key)
                 for fn, get in pure:
                     s += fn(get(s))
                 if op is None:
                     y = proj(s)
-                    r = new.get(y)
-                    new[y] = m if r is None else r + m
-                    continue
-                fn, get = op
-                n = len(s)
-                for v, q in fn(get(s))._p.items():
-                    s[n:] = v
-                    y = proj(s)
-                    if m is not ONE:
-                        q = m if q is ONE else m * q
-                    r = new.get(y)
-                    new[y] = q if r is None else r + q
+                    new[y] = new.get(y, 0) + m
+                else:
+                    branches.append((s, m, op[0](op[1](s))))
+            if branches:  # rescale the table to the lcm of the ops' dens
+                L = lcm(*[d.den for _, _, d in branches])
+                for s, m, d in branches:
+                    m *= L // d.den
+                    n = len(s)
+                    for v, w in d.weights.items():
+                        s[n:] = v
+                        y = proj(s)
+                        new[y] = new.get(y, 0) + m * w
+                den *= L
             table = new
-        # each mass is a product of masses of checked leaf Dists, and equal
-        # rows are merged, so the masses are positive and sum to 1
-        return Dist._trusted(table)
+        # each weight is a product of weights of checked leaf Dists, and
+        # equal rows are merged, so the weights are positive and sum to den
+        return Dist._trusted(table, den)
 
     return rule, None
 
@@ -545,7 +550,7 @@ def _row_rule(first, pure, proj) -> tuple:
             s += f(get(s))
         return proj(s)
 
-    return (lambda row: Dist._trusted({fn(row): ONE})), fn
+    return (lambda row: dirac(fn(row))), fn
 
 
 def det_kernel(in_shape, out_shape, fn: Callable[[Row], Row]) -> Kernel:
@@ -658,18 +663,14 @@ def conditional(f: Kernel, split: int):
 
     def cond_rule(row):
         x, a = row[:nx], row[nx:]
-        joint = f.dist(a)
-        total = ZERO
-        masses = {}
-        for full, p in joint._p.items():
+        weights = {}
+        for full, w in f.dist(a).weights.items():
             if full[:split] == x:
                 y = full[split:]
-                r = masses.get(y)
-                masses[y] = p if r is None else r + p
-                total += p
-        if total == 0:
+                weights[y] = weights.get(y, 0) + w
+        if not weights:
             return dirac(smallest_row(y_shape))
-        return Dist({y: p / total for y, p in masses.items()})
+        return Dist._trusted(weights, sum(weights.values()))
 
     c_f = Kernel(x_shape + a_shape, y_shape, cond_rule)
     return f_x, c_f
@@ -686,7 +687,7 @@ def range_kernel(f: Kernel) -> Kernel:
     def fn(row):
         a, b = row[:na], row[na:]
         d = f.dist(a)
-        if d[b] > 0:
+        if b in d.weights:
             return row
         return a + d.support()[0]
 
@@ -717,8 +718,7 @@ def random_dist(rows, rng, max_support=4) -> Dist:
     k = rng.randrange(1, min(max_support, len(rows)) + 1)
     chosen = rng.sample(rows, k)
     weights = [rng.randrange(1, 5) for _ in chosen]
-    total = sum(weights)
-    return Dist({r: Fraction(w, total) for r, w in zip(chosen, weights)})
+    return Dist._trusted(dict(zip(chosen, weights)), sum(weights))
 
 
 def random_kernel(in_shape, out_shape, rng, deterministic=False,

@@ -27,16 +27,18 @@ of its own ``dist``. The pure ops that read no draw, directly or through
 other ops, move ahead of the first draw, so they run once per input row
 rather than once per branch. A liveness pass drops the ops whose outputs
 nothing reads. Each input row is then evaluated forward over a table from
-the values of the slots still read to their masses: each stochastic op
-expands every entry by its rows, and entries that agree on the slots read
-later merge, so a tick summing n draws keeps n + 1 entries, not 2^n paths.
-Each row of such a tick builds one :class:`Dist`. A tick whose program keeps
-no stochastic op is one row function instead (``Kernel.row_fn``), from the
-memory ++ input row to the new memory ++ output row: execution and
-observation call it directly, and a deterministic tick builds no ``Dist``
-and caches nothing. The only cache of rows is the evaluated kernel's, of
-one ``Dist`` per row of a tick that draws, and it is cleared when it
-reaches ``kernel.CACHE_ROWS`` rows, so long runs keep bounded memory.
+the values of the slots still read to integer weights over one
+denominator: each stochastic op expands every entry by its rows, and
+entries that agree on the slots read later merge, so a tick summing n
+draws keeps n + 1 entries, not 2^n paths. Each row of such a tick builds
+one :class:`Dist`. A tick whose program keeps no stochastic op is one row
+function instead (``Kernel.row_fn``), from the memory ++ input row to the
+new memory ++ output row: execution and observation call it directly, and
+a deterministic tick builds no ``Dist`` and caches nothing. A tick that
+draws caches one ``Dist`` per row in its evaluated kernel, and each leaf
+with a rule that it calls, such as a ``unif`` source, keeps a cache of its
+own; each cache is cleared when it reaches ``kernel.CACHE_ROWS`` rows, so
+long runs keep bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
@@ -44,21 +46,21 @@ the trailing memory discarded.
 
 Exact observation, of per-tick marginals and of joint tables alike, carries
 integer weights over one shared denominator, which each tick scales by the
-least common multiple of the mass denominators of the kernel rows it reads
-(:func:`_tick_rows`). A joint table groups its output histories under the
-memory row they share: a tick reads only that row and the input, and
-extends every history beside it by the tick's output. Input prefixes that
-reach equal joint tables share one copy. Results leave this module as
-``Fraction`` masses and :class:`Dist` tables.
+least common multiple of the denominators of the kernel rows it reads
+(:func:`_tick_rows`); a ``Dist`` holds its masses in the same form, so no
+mass is converted on the way. A joint table groups its output histories
+under the memory row they share: a tick reads only that row and the input,
+and extends every history beside it by the tick's output. Input prefixes
+that reach equal joint tables share one copy. Results leave this module as
+:class:`Dist` tables, reduced to their canonical denominators.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -545,22 +547,17 @@ def wait_stream(shape) -> Stream:
 def _tick_rows(f: Stream, t: int, rows) -> tuple:
     """``(L, table)`` for tick ``t`` of ``f``: ``table`` maps each memory ++
     input row of ``rows`` to ``[(new memory, output, mass * L)]``, where
-    ``L`` is the least common multiple of the rows' mass denominators. A
-    kernel with a row function gives ``L = 1`` and one entry of weight 1
+    ``L`` is the least common multiple of the rows' ``Dist`` denominators.
+    A kernel with a row function gives ``L = 1`` and one entry of weight 1
     per row."""
     k, lm = f.kernel(t), f.mem.width(t + 1)
     step = k.row_fn()
     if step is not None:
         return 1, {r: [(v[:lm], v[lm:], 1)] for r in rows for v in (step(r),)}
-    dists = [(r, k.dist(r).pairs()) for r in rows]
-    L = lcm(*[q.denominator for _, d in dists for _, q in d])
-    return L, {r: [(v[:lm], v[lm:], q.numerator * (L // q.denominator))
-                   for v, q in d] for r, d in dists}
-
-
-def _dist(weights: dict, scale: int) -> Dist:
-    """The ``Dist`` of integer ``weights`` over the denominator ``scale``."""
-    return Dist({v: Fraction(p, scale) for v, p in weights.items()})
+    dists = [(r, k.dist(r)) for r in rows]
+    L = lcm(*[d.den for _, d in dists])
+    return L, {r: [(v[:lm], v[lm:], w * c) for v, w in d.weights.items()]
+               for r, d in dists for c in (L // d.den,)}
 
 
 class _Observation:
@@ -581,10 +578,9 @@ class _Observation:
     tick's distinct tables once and maps every prefix to its table object.
     ``advance`` builds the table of a (table, input row) pair the first
     time its loop reaches the pair, and merges it into an equal table
-    built earlier in the tick; ``weights``, ``truncation`` and
-    ``same_truncation`` then work once per distinct table or pair of
-    tables. The state cap counts a table's (memory row, history) entries
-    once per prefix.
+    built earlier in the tick; ``truncation`` and ``same_truncation`` then
+    work once per distinct table or pair of tables. The state cap counts a
+    table's (memory row, history) entries once per prefix.
 
     A tick that would pass the cap is refused before any of its tables is
     built: unless a bound on the tick's entries fits under the cap,
@@ -671,33 +667,28 @@ class _Observation:
                 if total > self.cap:
                     raise StateCapExceeded(total, self.cap, self.t)
 
-    def weights(self) -> dict:
-        """Memory-discarded integer weights over ``scale``:
-        input prefix row -> {output rows: weight}, one dict per distinct
-        table."""
-        return _per_table(self.j, _discard_mem)
-
     def truncation(self) -> dict:
         """Memory-discarded joint: input prefix row -> ``Dist`` over output
-        rows, one ``Dist`` per distinct table."""
-        return _per_table(self.weights(), partial(_dist, scale=self.scale))
+        rows, one ``Dist`` per distinct table, which prefixes that share
+        the table share."""
+        done, out = {}, {}
+        for xs, w in self.j.items():
+            d = done.get(id(w))
+            if d is None:
+                d = done[id(w)] = Dist._trusted(_discard_mem(w), self.scale)
+            out[xs] = d
+        return out
 
     def same_truncation(self, other: "_Observation") -> bool:
-        """Whether both truncations are equal, by cross-multiplied weights,
-        comparing each distinct pair of tables once.
+        """Whether both truncations are equal, comparing the canonical
+        ``Dist`` of each distinct pair of tables once.
 
         Both observations must run over the same input shapes.
         """
-        ta, tb = self.weights(), other.weights()
-        g = gcd(self.scale, other.scale)
-        ka, kb = other.scale // g, self.scale // g
-        pairs = {}
-        for xs, wa in ta.items():
-            wb = tb[xs]
-            pairs[id(wa), id(wb)] = wa, wb
-        return all(wa.keys() == wb.keys()
-                   and all(p * ka == wb[ys] * kb for ys, p in wa.items())
-                   for wa, wb in pairs.values())
+        ta, tb = self.truncation(), other.truncation()
+        pairs = {(id(da), id(db)): (da, db)
+                 for xs, da in ta.items() for db in (tb[xs],)}
+        return all(da == db for da, db in pairs.values())
 
 
 def _discard_mem(w: dict) -> dict:
@@ -710,18 +701,6 @@ def _discard_mem(w: dict) -> dict:
         for ys, p in hs.items():
             acc[ys] = acc.get(ys, 0) + p
     return acc
-
-
-def _per_table(j: dict, fn) -> dict:
-    """``{xs: fn(w) for xs, w in j.items()}``, calling ``fn`` once per
-    distinct table object, so prefixes that share a table share its image."""
-    done, out = {}, {}
-    for xs, w in j.items():
-        r = done.get(id(w))
-        if r is None:
-            r = done[id(w)] = fn(w)
-        out[xs] = r
-    return out
 
 
 class NStageProcess:
@@ -808,22 +787,25 @@ def _checked(x: Row, t: int, x_shape: Shape) -> Row:
 def _trace(f: Stream, inputs, n: int, choose) -> Iterator[Row]:
     """Yields the output rows of ticks 0..n, each as soon as it is computed.
 
-    Before tick 0 it checks each tick's input row against that tick's
-    input shape, so a row that does not fit raises before any row is
-    yielded. With no inputs every row is ``()``, which fits every tick of
-    a stream without inputs; the input shape is stationary from tick
-    ``f.n`` on, so only ticks up to there are checked. The kernel and the
-    memory width are stationary from then on as well, and are looked up
-    only until then. A tick whose kernel has a row function
-    (``Kernel.row_fn``) takes that function's row and builds no ``Dist``.
-    Any other tick takes its ``Dist``'s point as the row, and calls
-    ``choose(t, dist)`` only for a ``Dist`` that is not a point."""
+    Before tick 0 it checks that there is an input row for each tick, and
+    each row against that tick's input shape, so a missing row or one that
+    does not fit raises before any row is yielded. With no inputs every row
+    is ``()``, which fits every tick of a stream without inputs; the input
+    shape is stationary from tick ``f.n`` on, so only ticks up to there are
+    checked. The kernel and the memory width are stationary from then on
+    as well, and are looked up only until then. A tick whose kernel has a
+    row function (``Kernel.row_fn``) takes that function's row and builds
+    no ``Dist``. Any other tick takes its ``Dist``'s point as the row, and
+    calls ``choose(t, dist)`` only for a ``Dist`` that is not a point."""
     if inputs is None:
         if f.x.tail_width or any(f.x.widths):  # else every shape is empty
             for t in range(min(n, f.n) + 1):
                 _checked((), t, f.x.at(t))
         xs = repeat((), n + 1)
     else:
+        if len(inputs) <= n:
+            raise ShapeMismatch(f"tick {len(inputs)}: no input row; ticks "
+                                f"0..{n} need {n + 1}")
         xs = [_checked(tuple(inputs[t]), t, f.x.at(t)) for t in range(n + 1)]
     m_row = ()
     for t, x in enumerate(xs):
@@ -878,7 +860,8 @@ def sample_trace(f: Stream, inputs, n: int, seed: int) -> list:
     A tick whose joint (memory ++ output) distribution is a point consumes
     no random bits, so on deterministic streams this equals run_det for
     every seed; any other tick takes ``sample_bits(d, k)`` for one 64-bit
-    word ``k``, a bisection of the table ``d.cdf()`` that ``d`` keeps.
+    word ``k``, a bisection of the table ``d.cdf()`` that ``d`` keeps: the
+    cumulative sums of ``d``'s integer weights, over ``d.den``.
     """
     return list(iter_sample(f, inputs, n, seed))
 
@@ -909,5 +892,5 @@ def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:
         for (m2, y), p in joint.items():
             marg[y] = marg.get(y, 0) + p
             w[m2] = w.get(m2, 0) + p
-        result.append(_dist(marg, scale))
+        result.append(Dist._trusted(marg, scale))
     return result

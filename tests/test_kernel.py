@@ -7,7 +7,6 @@ from mstream.errors import BadIndex, EmptySupport, NotEnumerable, ShapeMismatch
 from mstream.kernel import (
     BOOL,
     INT,
-    ONE,
     UNIT,
     Dist,
     FinSet,
@@ -40,6 +39,7 @@ from mstream.kernel import (
 from mstream.values import value_key
 
 F = Fraction
+ONE = F(1)
 
 COIN = dist_source(uniform([0, 1]), IntRange(0, 1))
 
@@ -111,10 +111,27 @@ def test_dist_prunes_sums_duplicates_and_converts():
         assert type(d[7]) is Fraction and d[7] == 1
     d = Dist([(0, 1), (1, 0), (0, 0)])
     assert type(d[0]) is Fraction and d.support() == [0]
-    # a Fraction mass is kept as the same object, so Dirac tables share ONE
     q = F(1, 3)
-    assert Dist({0: q, 1: F(2, 3)})[0] is q
-    assert dirac(5)[5] is ONE
+    for got, want in ((Dist({0: q, 1: F(2, 3)})[0], q), (dirac(5)[5], ONE)):
+        assert got == want and type(got) is Fraction
+    # one canonical form: equal masses, however they were reached, give
+    # equal Dists with one hash and one cdf
+    sixths = Dist({(0,): F(1, 6), (1,): F(1, 3), (2,): F(1, 2)})
+    assert sixths.cdf() == (((0,), (1,), (2,)), (1, 3, 6), 6)
+    i12, i3 = IntRange(0, 11), IntRange(0, 2)
+    twelfths = dist_source(uniform(range(12)), i12)
+
+    def bucket(row):
+        return ((row[0] > 1) + (row[0] > 5),)
+
+    joint = Dist({(0, 0): F(2, 15), (0, 1): F(4, 15), (0, 2): F(6, 15),
+                  (1, 0): F(1, 5)})
+    _, cond = conditional(Kernel((), (IntRange(0, 1), i3), lambda r: joint), 1)
+    flat = kernel_compose(twelfths, det_kernel((i12,), (i3,), bucket))
+    routes = (twelfths.dist(()).map(bucket), cond.dist((0,)), flat.dist(()))
+    for d in routes:
+        assert d == sixths and hash(d) == hash(sixths)
+        assert d.cdf() == sixths.cdf()
 
 
 def test_uniform_rejects_bad_input():
@@ -445,8 +462,8 @@ def fresh_units(k):
 
 
 def kernel_variants(a, b, rng):
-    """A stochastic kernel, a Dirac kernel built on ONE, and a Dirac kernel
-    whose unit masses are equal to ONE but other objects."""
+    """A stochastic kernel, a Dirac kernel, and a Dirac kernel whose unit
+    masses are built as ``Fraction(3, 3)``."""
     return (random_kernel(a, b, rng),
             random_kernel(a, b, rng, deterministic=True),
             fresh_units(random_kernel(a, b, rng, deterministic=True)))
@@ -497,13 +514,13 @@ def test_product_rules_match_fraction_reference():
 
                 k = triangle(f, g)
                 assert exact_table(k) == ref_table(k, tri)
-    # Dirac after Dirac passes the shared unit mass through untouched
+    # Dirac after Dirac gives a unit Fraction mass
     f, g = (random_kernel(s, t, rng, deterministic=True)
             for s, t in ((a, x), (x, y)))
     fg = kernel_compose(f, g)
     for row in enumerate_rows(a):
         (q,) = [q for _, q in fg.dist(row).pairs()]
-        assert q is ONE
+        assert q == ONE and type(q) is Fraction
 
 
 def test_triangle_shape_mismatch():

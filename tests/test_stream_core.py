@@ -18,7 +18,6 @@ from mstream import cli, sfg_ir
 from mstream.kernel import (
     BOOL,
     INT,
-    ONE,
     Dist,
     IntRange,
     Kernel,
@@ -76,6 +75,7 @@ from mstream.sfg_ir import random_term_of_type
 from scaling import nest, stateful_chain
 
 F = Fraction
+ONE = F(1)
 I01 = IntRange(0, 1)
 
 
@@ -392,14 +392,17 @@ def test_run_det_rejects_stochastic_tick():
 
 
 def test_run_det_validates_inputs():
-    """A row that does not fit raises, naming its tick, before a run or a
-    draw yields the row of any tick."""
+    """A row that is missing or does not fit raises, naming its tick,
+    before a run or a draw yields the row of any tick."""
     s = identity(ShapeSeq.constant((I01,)))
     with pytest.raises(ShapeMismatch):
         run_det(s, [(7,)])
     rows = [(0,), (1,), (7,)]
     for trace in (iter_det(s, rows), iter_sample(s, rows, 2, 0)):
         with pytest.raises(ShapeMismatch, match=r"^tick 2: input \(7,\) "):
+            next(trace)
+    for trace in (iter_det(s, rows[:2], 3), iter_sample(s, rows[:2], 3, 0)):
+        with pytest.raises(ShapeMismatch, match=r"^tick 2: no input row"):
             next(trace)
     late = identity(ShapeSeq(((),), (I01,)))  # takes input from tick 1
     for trace in (iter_det(late, n=2), iter_sample(late, None, 2, 0)):
@@ -1146,7 +1149,7 @@ def test_dead_stochastic_ops_are_dropped():
         d = s.kernel(0).dist(())
         assert d == Dist({(): 1})
         ((_, q),) = d.pairs()
-        assert q is ONE
+        assert q == ONE and type(q) is Fraction
 
 
 def test_many_draws_in_one_tick_merge(monkeypatch):
