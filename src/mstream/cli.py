@@ -56,7 +56,7 @@ from .stream_core import (
     sample_trace,  # noqa: F401 - bench/tracing.py wraps it by name
     state_cap,
 )
-from .values import value_str
+from .values import value_key, value_str
 
 
 def _read_text(path) -> str:
@@ -252,28 +252,21 @@ def cmd_check(a: str, b: str, horizon: int, main: Optional[str],
     sig = default_signature()
     sa = compile_term(_load_term(a, main), sig)
     sb = compile_term(_load_term(b, main), sig)
-    k, oa, ob = _compare(sa, sb, horizon, cap)
+    k, ta, tb = _compare(sa, sb, horizon, cap)
     if k is None:
         if fmt == "json":
             return 0, [json.dumps({"equal": True, "horizon": horizon})]
         return 0, [f"equal up to t={horizon}"]
-    ta, tb = oa.truncation(), ob.truncation()
+    # input prefixes in the canonical order, as a Dist orders its rows
+    left, right = ({value_str(r): _dist_json(tab[r])
+                    for r in sorted(tab, key=value_key)} for tab in (ta, tb))
     if fmt == "json":
-        diff = {
-            "equal": False,
-            "t": k,
-            "left": {value_str(r): _dist_json(d)
-                     for r, d in sorted(ta.items())},
-            "right": {value_str(r): _dist_json(d)
-                      for r, d in sorted(tb.items())},
-        }
-        return 1, [json.dumps(diff)]
-    lines = [f"differ at t={k}"]
-    for label, tab in (("left", ta), ("right", tb)):
-        for r, d in sorted(tab.items()):
-            lines.append(f"{label} {value_str(r)} -> "
-                         f"{json.dumps(_dist_json(d))}")
-    return 1, lines
+        return 1, [json.dumps(
+            {"equal": False, "t": k, "left": left, "right": right})]
+    return 1, [f"differ at t={k}"] + [
+        f"{label} {r} -> {json.dumps(d)}"
+        for label, tab in (("left", left), ("right", right))
+        for r, d in tab.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ long runs keep bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
-the trailing memory discarded.
+the trailing memory discarded. :func:`_compare` steps both sides one tick at
+a time, compares their truncations once per distinct pair of tables, and
+returns the truncations of the tick that decided it, which ``check`` prints.
 
 Exact observation, of per-tick marginals and of joint tables alike, carries
 integer weights over one shared denominator, which each tick scales by the
@@ -51,7 +53,8 @@ least common multiple of the denominators of the kernel rows it reads
 mass is converted on the way. A joint table groups its output histories
 under the memory row they share: a tick reads only that row and the input,
 and extends every history beside it by the tick's output. Input prefixes
-that reach equal joint tables share one copy. Results leave this module as
+that reach equal joint tables share one copy, and a tick steps each distinct
+table once per input row. Results leave this module as
 :class:`Dist` tables, reduced to their canonical denominators.
 """
 
@@ -576,11 +579,11 @@ class _Observation:
     Prefixes share equal tables. A process whose outputs ignore or discard
     some inputs reaches one table from many prefixes, so ``j`` keeps each
     tick's distinct tables once and maps every prefix to its table object.
-    ``advance`` builds the table of a (table, input row) pair the first
-    time its loop reaches the pair, and merges it into an equal table
-    built earlier in the tick; ``truncation`` and ``same_truncation`` then
-    work once per distinct table or pair of tables. The state cap counts a
-    table's (memory row, history) entries once per prefix.
+    ``advance`` steps the tick's distinct tables: it builds the table of
+    each (table, input row) pair once, merges it into an equal table built
+    earlier in the tick, and then maps every prefix to the table its pair
+    leads to; ``truncation`` works once per distinct table. The state cap
+    counts a table's (memory row, history) entries once per prefix.
 
     A tick that would pass the cap is refused before any of its tables is
     built: unless a bound on the tick's entries fits under the cap,
@@ -610,28 +613,23 @@ class _Observation:
         size = {i: sum(map(len, w.values())) for i, w in tables.items()}
         if sum(size[id(w)] for w in self.j.values()) * widest > self.cap:
             self._count_entries(x_rows, rows)
-        new_j = {}
         built = {}  # (id(table), input row) -> the table it leads to
         by_hash = {}  # order-independent hash -> first table built with it
-        for xs, w in self.j.items():
+        for i, w in tables.items():
             for x in x_rows:
-                acc = built.get((id(w), x))
-                if acc is None:
-                    acc = {}
-                    for m, hs in w.items():
-                        for m2, y, n in rows[m + x]:
-                            h2 = acc.setdefault(m2, {})
-                            for ys, p in hs.items():
-                                key = ys + y
-                                h2[key] = h2.get(key, 0) + p * n
-                    same = by_hash.setdefault(
-                        sum(hash((m2, frozenset(h2.items())))
-                            for m2, h2 in acc.items()), acc)
-                    if same is not acc and same == acc:
-                        acc = same
-                    built[id(w), x] = acc
-                new_j[xs + x] = acc
-        self.j = new_j
+                acc = {}
+                for m, hs in w.items():
+                    for m2, y, n in rows[m + x]:
+                        h2 = acc.setdefault(m2, {})
+                        for ys, p in hs.items():
+                            key = ys + y
+                            h2[key] = h2.get(key, 0) + p * n
+                same = by_hash.setdefault(
+                    sum(hash((m2, frozenset(h2.items())))
+                        for m2, h2 in acc.items()), acc)
+                built[i, x] = same if same is not acc and same == acc else acc
+        self.j = {xs + x: built[id(w), x]
+                  for xs, w in self.j.items() for x in x_rows}
         self.scale *= L
         self.t = t + 1
 
@@ -669,38 +667,20 @@ class _Observation:
 
     def truncation(self) -> dict:
         """Memory-discarded joint: input prefix row -> ``Dist`` over output
-        rows, one ``Dist`` per distinct table, which prefixes that share
-        the table share."""
-        done, out = {}, {}
-        for xs, w in self.j.items():
-            d = done.get(id(w))
-            if d is None:
-                d = done[id(w)] = Dist._trusted(_discard_mem(w), self.scale)
-            out[xs] = d
-        return out
-
-    def same_truncation(self, other: "_Observation") -> bool:
-        """Whether both truncations are equal, comparing the canonical
-        ``Dist`` of each distinct pair of tables once.
-
-        Both observations must run over the same input shapes.
-        """
-        ta, tb = self.truncation(), other.truncation()
-        pairs = {(id(da), id(db)): (da, db)
-                 for xs, da in ta.items() for db in (tb[xs],)}
-        return all(da == db for da, db in pairs.values())
-
-
-def _discard_mem(w: dict) -> dict:
-    """The history dicts of the table ``w`` merged over its memory rows; a
-    table with one memory row is already its own."""
-    if len(w) == 1:
-        return next(iter(w.values()))
-    acc = {}
-    for hs in w.values():
-        for ys, p in hs.items():
-            acc[ys] = acc.get(ys, 0) + p
-    return acc
+        rows. Each distinct table merges its history dicts over its memory
+        rows once, and prefixes that share the table share its ``Dist``."""
+        done = {}
+        for w in self.j.values():
+            if id(w) not in done:
+                if len(w) == 1:
+                    (acc,) = w.values()
+                else:
+                    acc = {}
+                    for hs in w.values():
+                        for ys, p in hs.items():
+                            acc[ys] = acc.get(ys, 0) + p
+                done[id(w)] = Dist._trusted(acc, self.scale)
+        return {xs: done[id(w)] for xs, w in self.j.items()}
 
 
 class NStageProcess:
@@ -747,19 +727,25 @@ def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
 
 
 def _compare(f: Stream, g: Stream, n: int, cap: Optional[int]) -> tuple:
-    """``(k, a, b)``: the first tick k <= n whose truncations of ``f`` and
-    ``g`` differ, or None, and the observations of both that decided it."""
+    """``(k, ta, tb)``: the first tick k <= n whose truncations of ``f`` and
+    ``g`` differ, or None, and both truncations at the tick that decided it
+    (k, or n when none differs). Each tick compares the canonical ``Dist``
+    of each distinct pair of tables once."""
     if f.in_seq != g.in_seq or f.out_seq != g.out_seq:
         raise ShapeMismatch(
             f"interfaces differ: {f.in_seq!r} -> {f.out_seq!r} vs "
             f"{g.in_seq!r} -> {g.out_seq!r}")
     a, b = _Observation(f, cap), _Observation(g, cap)
+    ta = tb = {}  # a negative horizon decides no tick
     for k in range(n + 1):
         a.advance()
         b.advance()
-        if not a.same_truncation(b):
-            return k, a, b
-    return None, a, b
+        ta, tb = a.truncation(), b.truncation()
+        pairs = {(id(da), id(db)): (da, db)
+                 for xs, da in ta.items() for db in (tb[xs],)}
+        if any(da != db for da, db in pairs.values()):
+            return k, ta, tb
+    return None, ta, tb
 
 
 def first_difference(f: Stream, g: Stream, n: int,

@@ -406,6 +406,38 @@ def test_check_plain_diff(capsys):
     assert any(line.startswith("right ()") for line in lines)
 
 
+MIXED_INPUT_PAIRS = [
+    # unit beside an int: Python's < cannot order (None,) and (1,)
+    ("id[{(),1}@0]", "seq(discard[{(),1}@0], const(1:{(),1})@0)",
+     ["(())", "(1)"], ['{"()": "1/1"}', '{"1": "1/1"}'],
+     ['{"1": "1/1"}', '{"1": "1/1"}']),
+    # a bool beside an int: true comes first, as in the Dist beside it
+    ("id[{-1,true}@0]", "seq(discard[{-1,true}@0], const(true:{-1,true})@0)",
+     ["(true)", "(-1)"], ['{"true": "1/1"}', '{"-1": "1/1"}'],
+     ['{"true": "1/1"}', '{"true": "1/1"}']),
+]
+
+
+@pytest.mark.parametrize("a, b, prefixes, left, right", MIXED_INPUT_PAIRS)
+def test_check_orders_mixed_input_prefixes_canonically(capsys, a, b, prefixes,
+                                                       left, right):
+    """Input prefixes over sets that mix unit, bool and int print in the
+    canonical value order, in JSON and plain."""
+    code, out, err = cli(capsys, "check", a, b)
+    assert (code, err) == (1, "")
+    diff = json.loads(out)
+    assert diff["t"] == 0
+    for side, dists in (("left", left), ("right", right)):
+        assert list(diff[side]) == prefixes
+        assert [json.dumps(d) for d in diff[side].values()] == dists
+    code, out, err = cli(capsys, "check", a, b, "--format", "plain")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["differ at t=0"] + [
+        f"{side} {r} -> {d}" for side, dists in (("left", left),
+                                                 ("right", right))
+        for r, d in zip(prefixes, dists)]
+
+
 def test_check_has_no_csv_format():
     """``check`` prints JSON or plain lines only; ``csv`` is a usage error."""
     p = mstream_proc("check", COIN_COPY, TWO_COINS, "--format", "csv")

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 import tracemalloc
@@ -39,6 +40,7 @@ from mstream.stream_core import (
     ShapeSeq,
     Stream,
     _Observation,
+    _compare,
     copy_stream,
     delay,
     discard_stream,
@@ -72,6 +74,7 @@ from mstream import (
     seq_term,
 )
 from mstream.sfg_ir import random_term_of_type
+from mstream.values import value_key, value_str
 from scaling import nest, stateful_chain
 
 F = Fraction
@@ -889,6 +892,41 @@ def test_check_steps_each_side_once(monkeypatch, tmp_path):
     b.write_text("main = 0 fby (0 fby (0 fby 1))\n")
     assert cli.main(["check", str(a), str(b), "--horizon", "6"]) == 1
     assert steps == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def test_compare_returns_the_truncations_check_prints(monkeypatch):
+    """At the tick ``_compare`` reports (k, or the horizon when the sides
+    agree), its truncations are each side's ``observe`` at that tick, and
+    ``check`` prints exactly those tables, prefixes in canonical order."""
+    horizon, cap = 3, 20_000
+    monkeypatch.setattr(cli, "default_signature", finite_signature)
+    verdicts = []
+    for seed in range(40):
+        ow, t, u = random_pair_of_terms(seed)
+        for lhs, rhs in ((t, u), (t, seq_term(t, Id(ow)))):
+            f, g = compile_term(lhs, FIN), compile_term(rhs, FIN)
+            try:
+                k, ta, tb = _compare(f, g, horizon, cap)
+            except StateCapExceeded:
+                continue
+            at = horizon if k is None else k
+            want = [observe(h, at, cap).kernel.table() for h in (f, g)]
+            assert [ta, tb] == want, f"seed {seed}"
+            code, lines = cli.cmd_check(sfg_ir.pretty(lhs), sfg_ir.pretty(rhs),
+                                        horizon, None, "json", cap)
+            got = json.loads(lines[0])
+            if k is None:
+                assert (code, got) == (0, {"equal": True, "horizon": horizon})
+            else:
+                assert (code, got["t"]) == (1, k), f"seed {seed}"
+                for side, table in zip(("left", "right"), want):
+                    rows = sorted(table, key=value_key)
+                    assert list(got[side]) == [value_str(r) for r in rows]
+                    assert got[side] == {value_str(r): cli._dist_json(table[r])
+                                         for r in rows}, f"seed {seed}"
+            verdicts.append(k)
+    assert sum(k is None for k in verdicts) >= 40
+    assert sum(k is not None for k in verdicts) >= 20
 
 
 def fresh_unit_stream(s):
