@@ -109,7 +109,6 @@ from .stream_core import (
     run_det,
     sample_trace,
     seq_comp,
-    state_cap,
     swap_stream,
     wait_stream,
 )
@@ -136,7 +135,7 @@ __all__ = [
     "discard_stream", "fbk", "fby_box", "first_difference", "identity",
     "lift_const", "lift_seq", "obs_equal", "observe",
     "observe_marginals", "par_comp", "run_det", "sample_trace",
-    "seq_comp", "state_cap", "swap_stream", "wait_stream",
+    "seq_comp", "swap_stream", "wait_stream",
     "Value", "value_str", "value_to_json",
     "__version__",
 ]

@@ -54,7 +54,6 @@ from .stream_core import (
     observe_marginals,
     run_det,  # noqa: F401 - bench/tracing.py wraps cli.run_det by name
     sample_trace,  # noqa: F401 - bench/tracing.py wraps it by name
-    state_cap,
 )
 from .values import value_key, value_str
 
@@ -304,6 +303,8 @@ def _common(sub, inputs=True):
 @cache
 def build_parser():
     """The parser of every command, built on first use and then reused."""
+    cap_help = ("abort exact enumeration beyond this many states "
+                "(default: MSTREAM_STATE_CAP or 10^6)")
     p = argparse.ArgumentParser(
         prog="mstream",
         description="Run, sample, exactly observe, and compare synchronous "
@@ -323,8 +324,7 @@ def build_parser():
     ex = sp.add_parser("exact", help="exact per-tick output distributions")
     _common(ex, inputs=False)
     ex.add_argument("--state-cap", type=_positive, default=None,
-                    help="abort exact enumeration beyond this many states "
-                    "(default: MSTREAM_STATE_CAP or 10^6)")
+                    help=cap_help)
     ex.add_argument("--joint", action="store_true",
                     help="also emit the joint distribution over all ticks")
 
@@ -336,7 +336,8 @@ def build_parser():
     ch.add_argument("--main", default=None)
     ch.add_argument("--format", dest="fmt", default="json",
                     choices=("json", "plain"))
-    ch.add_argument("--state-cap", type=_positive, default=None)
+    ch.add_argument("--state-cap", type=_positive, default=None,
+                    help=cap_help)
     return p
 
 
@@ -368,11 +369,14 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
-    if args.cmd in ("exact", "check") and args.state_cap is None:
+    text = os.environ.get("MSTREAM_STATE_CAP")
+    if (args.cmd in ("exact", "check") and args.state_cap is None
+            and text is not None):
         try:
-            args.state_cap = state_cap()
-        except ValueError as e:
-            print(f"mstream: {e}", file=sys.stderr)
+            args.state_cap = _positive(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            print("mstream: MSTREAM_STATE_CAP must be a positive integer, "
+                  f"got {text!r}", file=sys.stderr)
             return 2
     try:
         if args.cmd == "check":

@@ -326,10 +326,11 @@ def sample_bits(d: Dist, k: int) -> Value:
 # Kernels
 # ---------------------------------------------------------------------------
 
-#: A kernel clears its ``Dist`` cache when it holds this many rows, so long
-#: runs over rows that never recur keep bounded memory, while programs whose
-#: states recur (bounded memory, enumerated inputs) still find every row they
-#: revisit. Ticks that draw nothing (a counter, fib) touch no cache at all.
+#: An evaluated kernel clears its ``Dist`` cache when it holds this many
+#: rows, so long runs over rows that never recur keep bounded memory, while
+#: programs whose states recur (bounded memory, enumerated inputs) still find
+#: every row they revisit. Ticks that draw nothing (a counter, fib) and the
+#: leaves nested in a tick touch no cache at all.
 CACHE_ROWS = 4096
 
 
@@ -342,19 +343,17 @@ class Kernel:
     returns its output slots. Wiring kernels (identity, copy, discard, swap,
     rewire) lower to a slot map with no op, :func:`det_kernel` to one pure op
     and composites to the concatenation of their parts' lowerings; a kernel
-    with only a rule lowers to one stochastic op that calls its ``dist``.
+    with only a rule lowers to one stochastic op that calls its rule.
     One of ``rule`` and ``lower`` must be given.
 
     On its first ``dist`` or ``row_fn`` a kernel without a rule lowers itself
-    once into one flat program (:func:`_flatten`), so of the composite
-    kernels only the one evaluated, not those nested in it, holds an
-    evaluator and a cache. A program that keeps no stochastic op is a row
-    function, which caches nothing: ``row_fn`` returns it, and ``dist`` is
-    the point at its row, built anew on each call. Any other kernel caches
+    once into one flat program (:func:`_flatten`). Only the kernel whose
+    ``dist`` is called holds an evaluator and a cache: the kernels nested in
+    it, composites and leaves with a rule alike, are ops of its program and
+    keep none. A program that keeps no stochastic op is a row function,
+    which caches nothing: ``row_fn`` returns it, and ``dist`` is the point
+    at its row, built anew on each call. Any other evaluated kernel caches
     its ``Dist`` per input row, cleared when it reaches ``CACHE_ROWS`` rows.
-    That includes every kernel with a rule, such as a ``unif`` source: its
-    op calls its own ``dist``, so it keeps its own cache beside that of the
-    kernel it is nested in.
     """
 
     __slots__ = ("in_shape", "out_shape", "_rule", "_lower", "_cache", "_fn")
@@ -394,7 +393,7 @@ class Kernel:
         """Append this kernel to ``prog``, reading slots ``ins``; returns the
         slots of its output row."""
         if self._lower is None:
-            return prog.emit(self.dist, ins, len(self.out_shape), False)
+            return prog.emit(self._rule, ins, len(self.out_shape), False)
         return self._lower(prog, ins)
 
     def table(self) -> dict:

@@ -35,10 +35,10 @@ one :class:`Dist`. A tick whose program keeps no stochastic op is one row
 function instead (``Kernel.row_fn``), from the memory ++ input row to the
 new memory ++ output row: execution and observation call it directly, and
 a deterministic tick builds no ``Dist`` and caches nothing. A tick that
-draws caches one ``Dist`` per row in its evaluated kernel, and each leaf
-with a rule that it calls, such as a ``unif`` source, keeps a cache of its
-own; each cache is cleared when it reaches ``kernel.CACHE_ROWS`` rows, so
-long runs keep bounded memory.
+draws caches one ``Dist`` per row in its evaluated kernel, the only cache:
+the leaves it calls, such as a ``unif`` source, keep none. The cache is
+cleared when it reaches ``kernel.CACHE_ROWS`` rows, so long runs keep
+bounded memory.
 
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
@@ -55,12 +55,14 @@ under the memory row they share: a tick reads only that row and the input,
 and extends every history beside it by the tick's output. Input prefixes
 that reach equal joint tables share one copy, and a tick steps each distinct
 table once per input row. Results leave this module as
-:class:`Dist` tables, reduced to their canonical denominators.
+:class:`Dist` tables, reduced to their canonical denominators. A tick
+whose entries would pass the ``cap`` argument raises
+:class:`StateCapExceeded`; without one the cap is ``DEFAULT_STATE_CAP``.
+Only the ``mstream`` command reads ``MSTREAM_STATE_CAP``.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from itertools import chain, repeat
 from math import lcm
@@ -91,19 +93,6 @@ from .rng import SplitMix64
 from .values import Row
 
 DEFAULT_STATE_CAP = 10 ** 6
-
-
-def state_cap() -> int:
-    """The exact-observation cap: ``MSTREAM_STATE_CAP``, else the default."""
-    text = os.environ.get("MSTREAM_STATE_CAP", str(DEFAULT_STATE_CAP))
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"MSTREAM_STATE_CAP must be a positive integer, got {text!r}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +581,7 @@ class _Observation:
     """
 
     def __init__(self, stream: Stream, cap: Optional[int] = None):
-        self.cap = state_cap() if cap is None else cap
+        self.cap = DEFAULT_STATE_CAP if cap is None else cap
         self.stream = stream
         self.t = 0
         self.j = {(): {(): {(): 1}}}
@@ -862,7 +851,7 @@ def observe_marginals(f: Stream, n: int, cap: Optional[int] = None) -> list:
     """
     if f.in_seq != ShapeSeq.constant(unit_shape):
         raise ShapeMismatch("per-tick marginals need a closed stream")
-    limit = state_cap() if cap is None else cap
+    limit = DEFAULT_STATE_CAP if cap is None else cap
     w, scale = {(): 1}, 1  # memory row -> weight over scale
     result = []
     for t in range(n + 1):

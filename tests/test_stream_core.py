@@ -356,6 +356,37 @@ def test_observe_state_cap():
     assert untimed.tick is None
 
 
+def test_engine_ignores_state_cap_variable(monkeypatch):
+    """Only the ``mstream`` command reads ``MSTREAM_STATE_CAP``: a library
+    call without ``cap`` observes under the default cap whatever it says."""
+    walk = compile_term(elaborate(parse(
+        (Path(__file__).resolve().parent.parent / "programs"
+         / "walk.ms").read_text())), SIG)
+
+    def results():
+        return (observe_marginals(walk, 3), observe(walk, 3).kernel.table(),
+                obs_equal(walk, walk, 3))
+
+    want = results()
+    monkeypatch.setenv("MSTREAM_STATE_CAP", "1")
+    assert results() == want
+    assert want[2] and len(want[0][3]) == 4
+
+
+def test_nested_leaves_keep_no_cache():
+    """A leaf with a rule inside a tick is an op of the tick's program and
+    keeps no ``Dist`` cache; the evaluated tick kernel holds the only one."""
+    sig = finite_signature()
+    coin = sig.gens["coin"]
+    s = compile_term(read_term("seq(par(coin@0, coin@0), xor@0)"), sig)
+    assert observe_marginals(s, 3)[3] == Dist({(False,): F(1, 2),
+                                               (True,): F(1, 2)})
+    assert first_difference(s, s, 3) is None
+    assert len(sample_trace(s, None, 3, 0)) == 4
+    assert coin.kernel._cache == {}
+    assert s.kernel(3)._cache
+
+
 def test_stream_checks_tick_kernels_at_construction():
     # fits tick 0, but from tick 1 on the kernel must read the stored (I3,)
     k = Kernel((), (I3, I01), lambda r: None)
