@@ -251,14 +251,15 @@ def cmd_check(a: str, b: str, horizon: int, main: Optional[str],
     sig = default_signature()
     sa = compile_term(_load_term(a, main), sig)
     sb = compile_term(_load_term(b, main), sig)
-    k, ta, tb = _compare(sa, sb, horizon, cap)
+    k, obs_a, obs_b = _compare(sa, sb, horizon, cap)
     if k is None:
         if fmt == "json":
             return 0, [json.dumps({"equal": True, "horizon": horizon})]
         return 0, [f"equal up to t={horizon}"]
     # input prefixes in the canonical order, as a Dist orders its rows
     left, right = ({value_str(r): _dist_json(tab[r])
-                    for r in sorted(tab, key=value_key)} for tab in (ta, tb))
+                    for r in sorted(tab, key=value_key)}
+                   for tab in (obs_a.truncation(), obs_b.truncation()))
     if fmt == "json":
         return 1, [json.dumps(
             {"equal": False, "t": k, "left": left, "right": right})]

@@ -43,8 +43,10 @@ bounded memory.
 Equality of processes is decided observationally: two processes are compared
 by their exact joint input/output distributions up to a finite horizon, with
 the trailing memory discarded. :func:`_compare` steps both sides one tick at
-a time, compares their truncations once per distinct pair of tables, and
-returns the truncations of the tick that decided it, which ``check`` prints.
+a time, compares their truncations once per distinct pair of tables, as
+integer weights over each side's denominator, and returns both
+observations as they stand at the tick that decided it; ``check`` prints
+their truncations.
 
 Exact observation, of per-tick marginals and of joint tables alike, carries
 integer weights over one shared denominator, which each tick scales by the
@@ -52,13 +54,17 @@ least common multiple of the denominators of the kernel rows it reads
 (:func:`_tick_rows`); a ``Dist`` holds its masses in the same form, so no
 mass is converted on the way. A joint table groups its output histories
 under the memory row they share: a tick reads only that row and the input,
-and extends every history beside it by the tick's output. Input prefixes
-that reach equal joint tables share one copy, and a tick steps each distinct
-table once per input row. Results leave this module as
-:class:`Dist` tables, reduced to their canonical denominators. A tick
-whose entries would pass the ``cap`` argument raises
-:class:`StateCapExceeded`; without one the cap is ``DEFAULT_STATE_CAP``.
-Only the ``mstream`` command reads ``MSTREAM_STATE_CAP``.
+and extends every history beside it by the code of the tick's output row.
+A history is a tuple of such small codes, one per tick, and the two sides
+of a comparison share the code table, so their histories compare as they
+are. The last tick observed builds its tables without memory, since nothing
+reads it. Input prefixes that reach equal joint tables share one copy, and
+a tick steps each distinct table once per input row. Results leave this
+module as :class:`Dist` tables over flat output rows, decoded and reduced
+to their canonical denominators. A tick whose entries would pass the
+``cap`` argument raises :class:`StateCapExceeded`; without one the cap is
+``DEFAULT_STATE_CAP``. Only the ``mstream`` command reads
+``MSTREAM_STATE_CAP``.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, repeat
 from math import lcm
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -557,13 +564,22 @@ class _Observation:
     prefixes, ``t`` ticks so far.
 
     ``j`` maps each flat input prefix row to a table of integer weights,
-    grouped by the current memory row: {memory row: {output rows so far:
+    grouped by the current memory row: {memory row: {output history:
     weight}}. A tick reads only the memory row and the input, and carries
-    each history along unchanged, so no key holds memory. All weights
-    share the one denominator ``scale``: an entry of weight ``w`` has mass
+    each history along unchanged, so no key holds memory. An output history
+    is coded: it is the tuple of its ticks' codes, where ``codes[t]`` gives
+    each distinct output row of tick ``t`` its code, in the order the row
+    is first met; two observations compared with each other share
+    ``codes``, so equal histories have equal keys. All weights share the
+    one denominator ``scale``: an entry of weight ``w`` has mass
     ``w / scale``. Each tick multiplies ``scale`` by the ``L`` of its
-    :func:`_tick_rows`, so the update is integer arithmetic throughout;
-    ``truncation()`` returns ``Dist`` tables.
+    :func:`_tick_rows`, so the update is integer arithmetic throughout.
+
+    Nothing reads the memory written at tick ``horizon``, so that tick
+    builds each table with its entries projected onto the output: one
+    group, under the empty memory row. ``histories`` sums each distinct
+    table over its memory rows, in coded form; ``truncation`` decodes
+    those sums into ``Dist`` tables over flat output rows.
 
     Prefixes share equal tables. A process whose outputs ignore or discard
     some inputs reaches one table from many prefixes, so ``j`` keeps each
@@ -571,8 +587,8 @@ class _Observation:
     ``advance`` steps the tick's distinct tables: it builds the table of
     each (table, input row) pair once, merges it into an equal table built
     earlier in the tick, and then maps every prefix to the table its pair
-    leads to; ``truncation`` works once per distinct table. The state cap
-    counts a table's (memory row, history) entries once per prefix.
+    leads to. The state cap counts a table's (memory row, history) entries
+    once per prefix, the horizon tick's included.
 
     A tick that would pass the cap is refused before any of its tables is
     built: unless a bound on the tick's entries fits under the cap,
@@ -584,6 +600,8 @@ class _Observation:
         self.cap = DEFAULT_STATE_CAP if cap is None else cap
         self.stream = stream
         self.t = 0
+        self.horizon = None  # the last tick to be observed, if known
+        self.codes = []  # tick -> {output row: the 1-tuple of its code}
         self.j = {(): {(): {(): 1}}}
         self.scale = 1
 
@@ -597,11 +615,22 @@ class _Observation:
         tables = {id(w): w for w in self.j.values()}
         mems = {m for w in tables.values() for m in w}
         L, rows = _tick_rows(f, t, [m + x for m in mems for x in x_rows])
+        if t == len(self.codes):
+            self.codes.append({})
+        code = self.codes[t]
+        rows = {r: [(m2, code.setdefault(y, (len(code),)), n)
+                    for m2, y, n in es] for r, es in rows.items()}
         # no history takes more entries on x than the widest row of x
         widest = sum(max(len(rows[m + x]) for m in mems) for x in x_rows)
         size = {i: sum(map(len, w.values())) for i, w in tables.items()}
         if sum(size[id(w)] for w in self.j.values()) * widest > self.cap:
             self._count_entries(x_rows, rows)
+        if t == self.horizon:  # nothing reads the memory this tick writes
+            for r, es in rows.items():
+                ys = {}
+                for _, y, n in es:
+                    ys[y] = ys.get(y, 0) + n
+                rows[r] = [((), y, n) for y, n in ys.items()]
         built = {}  # (id(table), input row) -> the table it leads to
         by_hash = {}  # order-independent hash -> first table built with it
         for i, w in tables.items():
@@ -654,21 +683,31 @@ class _Observation:
                 if total > self.cap:
                     raise StateCapExceeded(total, self.cap, self.t)
 
-    def truncation(self) -> dict:
-        """Memory-discarded joint: input prefix row -> ``Dist`` over output
-        rows. Each distinct table merges its history dicts over its memory
-        rows once, and prefixes that share the table share its ``Dist``."""
+    def histories(self) -> dict:
+        """``id(table) -> {coded history: weight}``: each distinct table of
+        ``j`` summed over its memory rows, once."""
         done = {}
         for w in self.j.values():
             if id(w) not in done:
-                if len(w) == 1:
-                    (acc,) = w.values()
-                else:
-                    acc = {}
-                    for hs in w.values():
+                groups = iter(w.values())
+                acc = next(groups)
+                if len(w) > 1:
+                    acc = dict(acc)
+                    for hs in groups:
                         for ys, p in hs.items():
                             acc[ys] = acc.get(ys, 0) + p
-                done[id(w)] = Dist._trusted(acc, self.scale)
+                done[id(w)] = acc
+        return done
+
+    def truncation(self) -> dict:
+        """Memory-discarded joint: input prefix row -> ``Dist`` over flat
+        output rows, each decoded from its table's :meth:`histories`.
+        Prefixes that share a table share its ``Dist``."""
+        rows = [list(code) for code in self.codes]  # tick -> code -> row
+        done = {i: Dist._trusted(
+                    {tuple(chain.from_iterable(map(getitem, rows, ys))): p
+                     for ys, p in acc.items()}, self.scale)
+                for i, acc in self.histories().items()}
         return {xs: done[id(w)] for xs, w in self.j.items()}
 
 
@@ -705,36 +744,50 @@ class NStageProcess:
 def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
     """Exact joint behavior of ``f`` over ticks 0..n."""
     obs = _Observation(f, cap)
+    obs.horizon = n
     for _ in range(n + 1):
         obs.advance()
     table = obs.truncation()
     in_shapes = [f.x.at(t) for t in range(n + 1)]
     out_shapes = [f.out_seq.at(t) for t in range(n + 1)]
-    kernel = Kernel(sum(in_shapes, ()), sum(out_shapes, ()),
-                    lambda row: table[row])
-    return NStageProcess(n, in_shapes, out_shapes, kernel)
+    in_shape = sum(in_shapes, ())
+
+    def joint(row):
+        try:
+            return table[row]
+        except KeyError:
+            raise ShapeMismatch(f"joint input {row!r} does not fit "
+                                f"{in_shape!r}") from None
+
+    return NStageProcess(n, in_shapes, out_shapes,
+                         Kernel(in_shape, sum(out_shapes, ()), joint))
 
 
 def _compare(f: Stream, g: Stream, n: int, cap: Optional[int]) -> tuple:
-    """``(k, ta, tb)``: the first tick k <= n whose truncations of ``f`` and
-    ``g`` differ, or None, and both truncations at the tick that decided it
-    (k, or n when none differs). Each tick compares the canonical ``Dist``
-    of each distinct pair of tables once."""
+    """``(k, a, b)``: the first tick k <= n whose truncations of ``f`` and
+    ``g`` differ, or None, and the observations of both, stopped at the
+    tick that decided it (k, or n when none differs), whose
+    ``truncation()`` ``check`` prints. The two observations share one code
+    table, so each tick compares each distinct pair of tables as coded
+    histories with integer weights over the scales ``sa`` and ``sb``: the
+    same keys, and ``wa * sb == wb * sa``. It builds no ``Dist``."""
     if f.in_seq != g.in_seq or f.out_seq != g.out_seq:
         raise ShapeMismatch(
             f"interfaces differ: {f.in_seq!r} -> {f.out_seq!r} vs "
             f"{g.in_seq!r} -> {g.out_seq!r}")
     a, b = _Observation(f, cap), _Observation(g, cap)
-    ta = tb = {}  # a negative horizon decides no tick
+    b.codes = a.codes
+    a.horizon = b.horizon = n
     for k in range(n + 1):
         a.advance()
         b.advance()
-        ta, tb = a.truncation(), b.truncation()
-        pairs = {(id(da), id(db)): (da, db)
-                 for xs, da in ta.items() for db in (tb[xs],)}
-        if any(da != db for da, db in pairs.values()):
-            return k, ta, tb
-    return None, ta, tb
+        ha, hb, sa, sb = a.histories(), b.histories(), a.scale, b.scale
+        for i, j in {(id(w), id(b.j[xs])) for xs, w in a.j.items()}:
+            da, db = ha[i], hb[j]
+            if (da != db if sa == sb else da.keys() != db.keys() or any(
+                    w * sb != db[ys] * sa for ys, w in da.items())):
+                return k, a, b
+    return None, a, b
 
 
 def first_difference(f: Stream, g: Stream, n: int,

@@ -598,14 +598,17 @@ def random_pair_of_terms(seed):
             random_term_of_type(rng, FIN, iw, ow, 6))
 
 
-def hidden_draw_stream(d):
+def hidden_draw_stream(*ds):
     """Stores a fresh unif over {0,1,2} in memory each tick and emits a
-    draw from ``d``; the memory never reaches an output."""
-    joint = Dist({(m,) + y: F(1, 3) * q for m in range(3) for y, q in d.items()})
-    k0 = Kernel((), (I3, I01), lambda r: joint)
-    kt = Kernel((I3,), (I3, I01), lambda r: joint)
+    draw from ``ds[t]`` at tick t, and from the last of ``ds`` once they
+    run out; the memory never reaches an output."""
+    joints = [Dist({(m,) + y: F(1, 3) * q for m in range(3)
+                    for y, q in d.items()}) for d in ds]
+    ks = [Kernel(() if t == 0 else (I3,), (I3, I01), lambda r, j=j: j)
+          for t, j in enumerate(joints)]
+    kt = Kernel((I3,), (I3, I01), lambda r: joints[-1])
     return Stream(ShapeSeq.constant(()), ShapeSeq.constant((I01,)),
-                  ShapeSeq([()], (I3,)), (k0,), kt)
+                  ShapeSeq([()], (I3,)), ks, kt)
 
 
 def hidden_walk_stream():
@@ -746,11 +749,12 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
     """``observe`` and ``first_difference`` give the reference's verdict or
     cap hit, on ticks whose entries are counted before they are built and
     on ticks whose bound skips the count, both under and over the cap, and
-    every tick they complete holds the reference's number of entries.
-    Beside the random terms, two streams keep several memory rows beside
-    one output history, whose next entries coincide or are distinct, and
-    in a third the memory rows that reach one entry hold disjoint
-    histories."""
+    every tick they complete holds the reference's number of entries: its
+    (memory, history) entries before the horizon, and at the horizon, whose
+    memory nothing reads, the entries of its truncation. Beside the random
+    terms, two streams keep several memory rows beside one output history,
+    whose next entries coincide or are distinct, and in a third the memory
+    rows that reach one entry hold disjoint histories."""
     horizon = 4
     pairs = [(compile_term(t, FIN), compile_term(u, FIN))
              for _, t, u in map(random_pair_of_terms, range(40))]
@@ -759,6 +763,7 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
     pairs.append((stored_coin_stream(), coin_stream()))
     ticks = []  # (entries counted, cap passed) per advance
     entries, totals = [], []  # per completed advance, engine and reference
+    horizons = []  # per completed advance of the engine: was it the last?
     advance, count = _Observation.advance, _Observation._count_entries
     ref_advance = FractionObservation.advance
 
@@ -770,12 +775,16 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
         ticks.append([False, True])
         advance(self)
         ticks[-1][1] = False
+        last = self.t - 1 == self.horizon
+        horizons.append(last)
+        if last:  # one group per table, under the empty memory row
+            assert all(list(w) == [()] for w in self.j.values())
         entries.append(sum(len(hs) for w in self.j.values()
                            for hs in w.values()))
 
     def referencing(self):
         ref_advance(self)
-        totals.append(self.total)
+        totals.append((self.total, sum(map(len, self.truncation().values()))))
 
     monkeypatch.setattr(_Observation, "_count_entries", counting)
     monkeypatch.setattr(_Observation, "advance", recording)
@@ -788,9 +797,12 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
         want = or_cap(ref_first_difference, f, g, horizon, cap)
         assert or_cap(first_difference, f, g, horizon, cap) == want, \
             f"cap {cap}, pair {i}"
-        assert entries == totals, f"cap {cap}, pair {i}"
+        assert len(entries) == len(totals), f"cap {cap}, pair {i}"
+        assert entries == [histories if last else total for last, (
+            total, histories) in zip(horizons, totals)], f"cap {cap}, pair {i}"
         entries.clear()
         totals.clear()
+        horizons.clear()
     seen = {tuple(k) for k in ticks}
     assert seen == {(False, False), (True, False), (True, True)}
 
@@ -927,8 +939,9 @@ def test_check_steps_each_side_once(monkeypatch, tmp_path):
 
 def test_compare_returns_the_truncations_check_prints(monkeypatch):
     """At the tick ``_compare`` reports (k, or the horizon when the sides
-    agree), its truncations are each side's ``observe`` at that tick, and
-    ``check`` prints exactly those tables, prefixes in canonical order."""
+    agree), the truncations of the observations it returns are each side's
+    ``observe`` at that tick, and ``check`` prints exactly those tables,
+    prefixes in canonical order."""
     horizon, cap = 3, 20_000
     monkeypatch.setattr(cli, "default_signature", finite_signature)
     verdicts = []
@@ -937,9 +950,10 @@ def test_compare_returns_the_truncations_check_prints(monkeypatch):
         for lhs, rhs in ((t, u), (t, seq_term(t, Id(ow)))):
             f, g = compile_term(lhs, FIN), compile_term(rhs, FIN)
             try:
-                k, ta, tb = _compare(f, g, horizon, cap)
+                k, a, b = _compare(f, g, horizon, cap)
             except StateCapExceeded:
                 continue
+            ta, tb = a.truncation(), b.truncation()
             at = horizon if k is None else k
             want = [observe(h, at, cap).kernel.table() for h in (f, g)]
             assert [ta, tb] == want, f"seed {seed}"
@@ -958,6 +972,53 @@ def test_compare_returns_the_truncations_check_prints(monkeypatch):
             verdicts.append(k)
     assert sum(k is None for k in verdicts) >= 40
     assert sum(k is not None for k in verdicts) >= 20
+
+
+def test_compare_weighs_tables_over_different_scales():
+    """A fair coin carries weights over 2^(t+1), a fair draw beside a
+    hidden unif over {0,1,2} over 6^(t+1): the integer comparison finds
+    them equal at every tick, and finds the tick where the draw turns
+    biased, as the Fraction reference does."""
+    horizon, cap = 4, 20_000
+    fair, biased = uniform([(0,), (1,)]), Dist({(0,): F(1, 3), (1,): F(2, 3)})
+    for g, want in ((hidden_draw_stream(fair), None),
+                    (hidden_draw_stream(fair, fair, biased), 2)):
+        assert ref_first_difference(coin_stream(), g, horizon, cap) == want
+        k, a, b = _compare(coin_stream(), g, horizon, cap)
+        assert k == want
+        assert a.scale != b.scale
+        at = horizon if k is None else k
+        assert [a.truncation(), b.truncation()] == [
+            observe(h, at, cap).kernel.table() for h in (coin_stream(), g)]
+
+
+def test_sides_share_one_code_table():
+    """Two coins with one bias, whose ``Dist``s list their rows in opposite
+    orders, meet their output rows in opposite orders: the two sides code
+    each row alike, so they agree, and truncations decode to each side's
+    own tables."""
+    def coin(masses):
+        return lift_const(Kernel((), (I01,), lambda r: Dist(masses)))
+
+    one_first = coin({(1,): F(1, 4), (0,): F(3, 4)})
+    zero_first = coin({(0,): F(3, 4), (1,): F(1, 4)})
+    k, a, b = _compare(one_first, zero_first, 3, None)
+    assert k is None
+    assert list(a.codes[0]) == [(1,), (0,)]
+    assert first_difference(zero_first, one_first, 3) is None
+    k, a, b = _compare(one_first, coin_stream(), 3, None)
+    assert k == 0
+    assert [a.truncation(), b.truncation()] == [
+        observe(h, 0).kernel.table() for h in (one_first, coin_stream())]
+
+
+def test_joint_rejects_a_row_that_is_no_input_prefix():
+    p = observe(compile_term(read_term("xor@0"), FIN), 1)
+    assert p.dist((False, True, True, True)) == dirac((True, False))
+    with pytest.raises(ShapeMismatch) as e:
+        p.dist((1, 2))
+    assert str(e.value) == ("joint input (1, 2) does not fit "
+                            f"{(BOOL, BOOL, BOOL, BOOL)!r}")
 
 
 def fresh_unit_stream(s):
