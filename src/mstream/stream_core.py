@@ -55,11 +55,14 @@ least common multiple of the denominators of the kernel rows it reads
 mass is converted on the way. A joint table groups its output histories
 under the memory row they share: a tick reads only that row and the input,
 and extends every history beside it by the code of the tick's output row.
-A history is a tuple of such small codes, one per tick, and the two sides
-of a comparison share the code table, so their histories compare as they
-are. The last tick observed builds its tables without memory, since nothing
-reads it. Input prefixes that reach equal joint tables share one copy, and
-a tick steps each distinct table once per input row. Results leave this
+A history is one integer in mixed radix with one digit per tick, that
+tick's code: tick t adds its code times ``place_t``, the product of the
+sizes of the code tables of ticks 0..t-1, so extending a history is one
+addition. The two sides of a comparison share the code tables, so their
+histories compare as they are. The last tick observed builds its tables
+without memory, since nothing reads it. Input prefixes that reach equal
+joint tables share one copy, and a tick steps each distinct table once per
+input row. Results leave this
 module as :class:`Dist` tables over flat output rows, decoded and reduced
 to their canonical denominators. A tick whose entries would pass the
 ``cap`` argument raises :class:`StateCapExceeded`; without one the cap is
@@ -71,8 +74,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, repeat
-from math import lcm
-from operator import getitem
+from math import lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -567,13 +569,17 @@ class _Observation:
     grouped by the current memory row: {memory row: {output history:
     weight}}. A tick reads only the memory row and the input, and carries
     each history along unchanged, so no key holds memory. An output history
-    is coded: it is the tuple of its ticks' codes, where ``codes[t]`` gives
-    each distinct output row of tick ``t`` its code, in the order the row
-    is first met; two observations compared with each other share
-    ``codes``, so equal histories have equal keys. All weights share the
-    one denominator ``scale``: an entry of weight ``w`` has mass
-    ``w / scale``. Each tick multiplies ``scale`` by the ``L`` of its
-    :func:`_tick_rows`, so the update is integer arithmetic throughout.
+    is coded: ``codes[t]`` gives each distinct output row of tick ``t`` its
+    code, in the order the row is first met, and a history is one integer,
+    the sum over its ticks ``t`` of the code of ``t`` times ``place_t``, the
+    product of the sizes of ``codes[0..t-1]``; the empty history is 0. Two
+    observations compared with each other share ``codes``, so equal
+    histories have equal keys. Tick ``t`` of either side is stepped after
+    both sides have stepped tick ``t - 1``, so the tables that make up
+    ``place_t`` no longer grow. All weights share the one denominator
+    ``scale``: an entry of weight ``w`` has mass ``w / scale``. Each tick
+    multiplies ``scale`` by the ``L`` of its :func:`_tick_rows`, so the
+    update is integer arithmetic throughout.
 
     Nothing reads the memory written at tick ``horizon``, so that tick
     builds each table with its entries projected onto the output: one
@@ -601,8 +607,8 @@ class _Observation:
         self.stream = stream
         self.t = 0
         self.horizon = None  # the last tick to be observed, if known
-        self.codes = []  # tick -> {output row: the 1-tuple of its code}
-        self.j = {(): {(): {(): 1}}}
+        self.codes = []  # tick -> {output row: its code}
+        self.j = {(): {(): {0: 1}}}
         self.scale = 1
 
     def advance(self) -> None:
@@ -617,8 +623,8 @@ class _Observation:
         L, rows = _tick_rows(f, t, [m + x for m in mems for x in x_rows])
         if t == len(self.codes):
             self.codes.append({})
-        code = self.codes[t]
-        rows = {r: [(m2, code.setdefault(y, (len(code),)), n)
+        code, place = self.codes[t], prod(map(len, self.codes[:t]))
+        rows = {r: [(m2, code.setdefault(y, len(code)) * place, n)
                     for m2, y, n in es] for r, es in rows.items()}
         # no history takes more entries on x than the widest row of x
         widest = sum(max(len(rows[m + x]) for m in mems) for x in x_rows)
@@ -660,8 +666,10 @@ class _Observation:
         A table built from ``w`` on input ``x`` holds, under each new
         memory, one history ``ys + y`` per history ``ys`` of a memory row
         ``m`` of ``w`` whose ``rows[m + x]`` reaches that new memory with
-        output ``y``. So each (new memory, output) reached adds the size of
-        the union of the histories of the memory rows that reach it.
+        output ``y``, its code times this tick's place. Distinct ``ys``
+        give distinct ``ys + y``, since every ``ys`` is below the place. So
+        each (new memory, output) reached adds the size of the union of the
+        histories of the memory rows that reach it.
         """
         counts = {}  # id(table) -> [entries of its table on each x]
         total = 0
@@ -685,7 +693,8 @@ class _Observation:
 
     def histories(self) -> dict:
         """``id(table) -> {coded history: weight}``: each distinct table of
-        ``j`` summed over its memory rows, once."""
+        ``j`` summed over its memory rows, once. A coded history is the
+        integer key of ``advance``, not decoded."""
         done = {}
         for w in self.j.values():
             if id(w) not in done:
@@ -702,11 +711,21 @@ class _Observation:
     def truncation(self) -> dict:
         """Memory-discarded joint: input prefix row -> ``Dist`` over flat
         output rows, each decoded from its table's :meth:`histories`.
-        Prefixes that share a table share its ``Dist``."""
-        rows = [list(code) for code in self.codes]  # tick -> code -> row
-        done = {i: Dist._trusted(
-                    {tuple(chain.from_iterable(map(getitem, rows, ys))): p
-                     for ys, p in acc.items()}, self.scale)
+        A key is decoded digit by digit from tick 0 on: ``divmod`` by the
+        size of the tick's code table gives the rest of the key and the
+        tick's code. Nothing else decodes. Prefixes that share a table
+        share its ``Dist``."""
+        rows = [list(code) for code in self.codes]
+
+        def decode(key):
+            out = []
+            for code in rows:
+                key, c = divmod(key, len(code))
+                out += code[c]
+            return tuple(out)
+
+        done = {i: Dist._trusted({decode(k): p for k, p in acc.items()},
+                                 self.scale)
                 for i, acc in self.histories().items()}
         return {xs: done[id(w)] for xs, w in self.j.items()}
 
@@ -768,9 +787,11 @@ def _compare(f: Stream, g: Stream, n: int, cap: Optional[int]) -> tuple:
     ``g`` differ, or None, and the observations of both, stopped at the
     tick that decided it (k, or n when none differs), whose
     ``truncation()`` ``check`` prints. The two observations share one code
-    table, so each tick compares each distinct pair of tables as coded
-    histories with integer weights over the scales ``sa`` and ``sb``: the
-    same keys, and ``wa * sb == wb * sa``. It builds no ``Dist``."""
+    table, so their integer history keys are equal exactly where the
+    histories are, and each tick compares each distinct pair of tables as
+    they are, with integer weights over the scales ``sa`` and ``sb``: the
+    same keys, and ``wa * sb == wb * sa``. It builds no ``Dist`` and
+    decodes no key."""
     if f.in_seq != g.in_seq or f.out_seq != g.out_seq:
         raise ShapeMismatch(
             f"interfaces differ: {f.in_seq!r} -> {f.out_seq!r} vs "

@@ -47,7 +47,12 @@ from mstream.sfg_ir import (
     read_term,
 )
 from mstream.stream_core import observe_marginals, run_det, sample_trace
-from scaling import assert_doubling_at_most, nest, stateful_chain
+from scaling import (
+    assert_count_doubling_at_most,
+    assert_doubling_at_most,
+    nest,
+    stateful_chain,
+)
 
 F = Fraction
 SIG = default_signature()
@@ -309,20 +314,29 @@ def delayed_ring(n):
 def test_causality_is_linear_in_the_number_of_definitions(program):
     """Doubling the definitions at most about doubles the analysis: its
     minimum time at 4000 definitions is at most 2.5 times the one at
-    2000."""
+    2000, and its instruction count at 500 at most 2.05 times the one at
+    250."""
+    stages = [("causality", check_causality)]
     assert_doubling_at_most({n: parse(program(n)) for n in (2000, 4000)},
-                            [("causality", check_causality)])
+                            stages)
+    assert_count_doubling_at_most(
+        {n: parse(program(n)) for n in (250, 500)}, stages)
 
 
 @pytest.mark.parametrize("program, n", [(stateful_chain, 2000), (nest, 2500)])
 def test_setup_is_linear_in_program_size(program, n):
     """Doubling a program at most about doubles each stage of its set-up:
-    causality plus elaboration, compilation, and the first 4 ticks."""
+    causality plus elaboration, compilation, and the first 4 ticks. Each
+    stage's minimum time at 2n is at most 2.5 times the one at n, and its
+    instruction count at 2m at most 2.05 times the one at m = n // 8."""
+    stages = [("elaborate", elaborate),
+              ("compile", partial(compile_term, sig=SIG)),
+              ("first 4 ticks", partial(run_det, n=3))]
     assert_doubling_at_most(
-        {size: parse(program(size)) for size in (n, 2 * n)},
-        [("elaborate", elaborate),
-         ("compile", partial(compile_term, sig=SIG)),
-         ("first 4 ticks", partial(run_det, n=3))])
+        {size: parse(program(size)) for size in (n, 2 * n)}, stages)
+    assert_count_doubling_at_most(
+        {size: parse(program(size)) for size in (n // 8, n // 8 * 2)},
+        stages)
 
 
 # ---------------------------------------------------------------------------

@@ -1012,6 +1012,43 @@ def test_sides_share_one_code_table():
         observe(h, 0).kernel.table() for h in (one_first, coin_stream())]
 
 
+HELD_DRAW = "c = unif(0, 1)\nmain = c fby main\n"
+
+
+def test_history_keys_wider_than_64_bits(tmp_path):
+    """A stream that draws once and repeats the draw has two histories, and
+    two output rows at every tick, so its history keys pass 2^64 by tick
+    64. Observation, ``check`` and the first difference stay exact past it.
+    """
+    sig = default_signature()
+    held = compile_term(elaborate(parse(HELD_DRAW)), sig)
+    obs = _Observation(held)
+    obs.horizon = 80
+    for _ in range(81):
+        obs.advance()
+    assert max(k for acc in obs.histories().values() for k in acc) >= 2 ** 64
+    assert observe(held, 80).dist() == Dist({(0,) * 81: F(1, 2),
+                                             (1,) * 81: F(1, 2)})
+
+    flipped = tmp_path / "flipped.ms"
+    flipped.write_text("c = unif(0, 1)\nd = 1 - c\nmain = d fby main\n")
+    (tmp_path / "held.ms").write_text(HELD_DRAW)
+    code, lines = cli.cmd_check(str(tmp_path / "held.ms"), str(flipped), 80,
+                                None, "json", None)
+    assert (code, json.loads(lines[0])) == (0, {"equal": True, "horizon": 80})
+
+    # the held draw, plus 1 from tick 70 on
+    late = compile_term(elaborate(parse(
+        "c = unif(0, 1)\nm = c fby m\n"
+        f"e = {'0 fby (' * 70}1{')' * 70}\nmain = m + e\n")), sig)
+    k, a, b = _compare(held, late, 80, None)
+    assert k == 70
+    assert [a.truncation(), b.truncation()] == [
+        observe(h, 70).kernel.table() for h in (held, late)]
+    assert b.truncation()[()] == Dist({(0,) * 70 + (1,): F(1, 2),
+                                       (1,) * 70 + (2,): F(1, 2)})
+
+
 def test_joint_rejects_a_row_that_is_no_input_prefix():
     p = observe(compile_term(read_term("xor@0"), FIN), 1)
     assert p.dist((False, True, True, True)) == dirac((True, False))
