@@ -60,12 +60,13 @@ tick's code: tick t adds its code times ``place_t``, the product of the
 sizes of the code tables of ticks 0..t-1, so extending a history is one
 addition. The two sides of a comparison share the code tables, so their
 histories compare as they are. The last tick observed builds its tables
-without memory, since nothing reads it. Input prefixes that reach equal
-joint tables share one copy, and a tick steps each distinct table once per
-input row. Results leave this
-module as :class:`Dist` tables over flat output rows, decoded and reduced
-to their canonical denominators. A tick whose entries would pass the
-``cap`` argument raises :class:`StateCapExceeded`; without one the cap is
+without memory, since nothing reads it. By causality, the table an input
+prefix reaches follows from its table at the tick before and the tick's
+input row, so no prefix is kept: a tick steps each distinct table once per
+input row and counts the prefixes that reach it. Results leave this module
+as :class:`Dist` tables over flat output rows, decoded and reduced to their
+canonical denominators. A tick whose entries would pass the ``cap``
+argument raises :class:`StateCapExceeded`; without one the cap is
 ``DEFAULT_STATE_CAP``. Only the ``mstream`` command reads
 ``MSTREAM_STATE_CAP``.
 """
@@ -73,8 +74,9 @@ to their canonical denominators. A tick whose entries would pass the
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from math import lcm, prod
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -565,36 +567,31 @@ class _Observation:
     """Incremental exact observation of ``stream`` against all input
     prefixes, ``t`` ticks so far.
 
-    ``j`` maps each flat input prefix row to a table of integer weights,
-    grouped by the current memory row: {memory row: {output history:
-    weight}}. A tick reads only the memory row and the input, and carries
-    each history along unchanged, so no key holds memory. An output history
-    is coded: ``codes[t]`` gives each distinct output row of tick ``t`` its
-    code, in the order the row is first met, and a history is one integer,
-    the sum over its ticks ``t`` of the code of ``t`` times ``place_t``, the
-    product of the sizes of ``codes[0..t-1]``; the empty history is 0. Two
-    observations compared with each other share ``codes``, so equal
-    histories have equal keys. Tick ``t`` of either side is stepped after
-    both sides have stepped tick ``t - 1``, so the tables that make up
-    ``place_t`` no longer grow. All weights share the one denominator
-    ``scale``: an entry of weight ``w`` has mass ``w / scale``. Each tick
-    multiplies ``scale`` by the ``L`` of its :func:`_tick_rows`, so the
-    update is integer arithmetic throughout.
+    A table holds integer weights grouped by the current memory row:
+    {memory row: {output history: weight}}, each history coded as the module
+    docstring says: ``codes[t]`` gives each distinct output row of tick ``t``
+    its code, in the order the row is first met; the empty history is 0. Two
+    observations compared with each other share ``codes``, so equal histories
+    have equal keys; tick ``t`` of either side is stepped after both sides
+    have stepped tick ``t - 1``, so the tables that make up ``place_t`` no
+    longer grow. An entry of weight ``w`` has mass ``w / scale``; each tick
+    multiplies ``scale`` by the ``L`` of its :func:`_tick_rows`, so the update
+    is integer arithmetic throughout.
 
     Nothing reads the memory written at tick ``horizon``, so that tick
     builds each table with its entries projected onto the output: one
-    group, under the empty memory row. ``histories`` sums each distinct
-    table over its memory rows, in coded form; ``truncation`` decodes
-    those sums into ``Dist`` tables over flat output rows.
+    group, under the empty memory row. ``histories`` sums each table over
+    its memory rows, in coded form; ``truncation`` decodes those sums into
+    ``Dist`` tables over flat output rows.
 
-    Prefixes share equal tables. A process whose outputs ignore or discard
-    some inputs reaches one table from many prefixes, so ``j`` keeps each
-    tick's distinct tables once and maps every prefix to its table object.
-    ``advance`` steps the tick's distinct tables: it builds the table of
-    each (table, input row) pair once, merges it into an equal table built
-    earlier in the tick, and then maps every prefix to the table its pair
-    leads to. The state cap counts a table's (memory row, history) entries
-    once per prefix, the horizon tick's included.
+    ``tables`` holds the tick's distinct tables, ``counts`` how many input
+    prefixes reach each, and ``steps`` per tick its input rows and each
+    table's next table on each row. ``advance`` keeps a table it builds
+    unless an equal one came before it in the tick with the same key: the
+    sum over its memory rows of the hash of the row, the number of its
+    histories, their weight sum and the sum of key times weight. The state
+    cap counts a table's (memory row, history) entries once per prefix, the
+    horizon tick's included.
 
     A tick that would pass the cap is refused before any of its tables is
     built: unless a bound on the tick's entries fits under the cap,
@@ -608,7 +605,7 @@ class _Observation:
         self.t = 0
         self.horizon = None  # the last tick to be observed, if known
         self.codes = []  # tick -> {output row: its code}
-        self.j = {(): {(): {0: 1}}}
+        self.tables, self.counts, self.steps = [{(): {0: 1}}], [1], []
         self.scale = 1
 
     def advance(self) -> None:
@@ -618,8 +615,7 @@ class _Observation:
             raise NotEnumerable(
                 f"cannot observe over non-enumerable input {x_shape!r}")
         x_rows = list(enumerate_rows(x_shape))
-        tables = {id(w): w for w in self.j.values()}
-        mems = {m for w in tables.values() for m in w}
+        mems = {m for w in self.tables for m in w}
         L, rows = _tick_rows(f, t, [m + x for m in mems for x in x_rows])
         if t == len(self.codes):
             self.codes.append({})
@@ -628,8 +624,8 @@ class _Observation:
                     for m2, y, n in es] for r, es in rows.items()}
         # no history takes more entries on x than the widest row of x
         widest = sum(max(len(rows[m + x]) for m in mems) for x in x_rows)
-        size = {i: sum(map(len, w.values())) for i, w in tables.items()}
-        if sum(size[id(w)] for w in self.j.values()) * widest > self.cap:
+        if sum(c * sum(map(len, w.values()))
+               for w, c in zip(self.tables, self.counts)) * widest > self.cap:
             self._count_entries(x_rows, rows)
         if t == self.horizon:  # nothing reads the memory this tick writes
             for r, es in rows.items():
@@ -637,9 +633,12 @@ class _Observation:
                 for _, y, n in es:
                     ys[y] = ys.get(y, 0) + n
                 rows[r] = [((), y, n) for y, n in ys.items()]
-        built = {}  # (id(table), input row) -> the table it leads to
-        by_hash = {}  # order-independent hash -> first table built with it
-        for i, w in tables.items():
+        tables, counts, links, prev = [], [], [], []
+        # last: sig -> the last table built with that key; prev[i]: the table
+        # built before table i with the same sig, or -1
+        last = {}
+        for w, c in zip(self.tables, self.counts):
+            links.append([])
             for x in x_rows:
                 acc = {}
                 for m, hs in w.items():
@@ -648,20 +647,39 @@ class _Observation:
                         for ys, p in hs.items():
                             key = ys + y
                             h2[key] = h2.get(key, 0) + p * n
-                same = by_hash.setdefault(
-                    sum(hash((m2, frozenset(h2.items())))
-                        for m2, h2 in acc.items()), acc)
-                built[i, x] = same if same is not acc and same == acc else acc
-        self.j = {xs + x: built[id(w), x]
-                  for xs, w in self.j.items() for x in x_rows}
+                sig = sum(hash((m2, len(h2), sum(h2.values()),
+                                sum(map(mul, h2, h2.values()))))
+                          for m2, h2 in acc.items())
+                i = head = last.get(sig, -1)
+                while i >= 0 and tables[i] != acc:
+                    i = prev[i]
+                if i < 0:
+                    i = last[sig] = len(tables)
+                    prev.append(head)
+                    tables.append(acc)
+                    counts.append(0)
+                counts[i] += c
+                links[-1].append(i)
+        self.tables, self.counts = tables, counts
+        self.steps.append((x_rows, links))
         self.scale *= L
         self.t = t + 1
 
+    def reached(self) -> list:
+        """The table index of each input prefix, in ``product`` order."""
+        idx = [0]
+        for _, links in self.steps:
+            idx = [j for i in idx for j in links[i]]
+        return idx
+
+    def prefixes(self) -> Iterator[tuple]:
+        """``(flat input prefix, table index)``, in :meth:`reached` order."""
+        rows = product(*(x_rows for x_rows, _ in self.steps))
+        return zip(map(tuple, map(chain.from_iterable, rows)), self.reached())
+
     def _count_entries(self, x_rows, rows) -> None:
-        """Counts this tick's table entries prefix by prefix, as the build
-        loop of :meth:`advance` meets them, without building any table, and
-        raises ``StateCapExceeded`` at the prefix where the count passes
-        the cap.
+        """Counts this tick's entries in :meth:`reached` order, building
+        no table, and raises ``StateCapExceeded`` where they pass the cap.
 
         A table built from ``w`` on input ``x`` holds, under each new
         memory, one history ``ys + y`` per history ``ys`` of a memory row
@@ -671,12 +689,12 @@ class _Observation:
         each (new memory, output) reached adds the size of the union of the
         histories of the memory rows that reach it.
         """
-        counts = {}  # id(table) -> [entries of its table on each x]
+        counts = {}  # table index -> [entries of its table on each x]
         total = 0
-        for w in self.j.values():
-            ns = counts.get(id(w))
+        for i in self.reached():
+            ns, w = counts.get(i), self.tables[i]
             if ns is None:
-                ns = counts[id(w)] = []
+                ns = counts[i] = []
                 for x in x_rows:
                     reach = {}  # (new memory, output) -> memory rows
                     for m in w:
@@ -691,21 +709,17 @@ class _Observation:
                 if total > self.cap:
                     raise StateCapExceeded(total, self.cap, self.t)
 
-    def histories(self) -> dict:
-        """``id(table) -> {coded history: weight}``: each distinct table of
-        ``j`` summed over its memory rows, once. A coded history is the
-        integer key of ``advance``, not decoded."""
-        done = {}
-        for w in self.j.values():
-            if id(w) not in done:
-                groups = iter(w.values())
-                acc = next(groups)
-                if len(w) > 1:
-                    acc = dict(acc)
-                    for hs in groups:
-                        for ys, p in hs.items():
-                            acc[ys] = acc.get(ys, 0) + p
-                done[id(w)] = acc
+    def histories(self) -> list:
+        """Each table of ``tables`` summed over its memory rows, as
+        {coded history: weight}, its histories still ``advance``'s keys."""
+        done = []
+        for w in self.tables:
+            first, *rest = w.values()
+            acc = dict(first) if rest else first
+            for hs in rest:
+                for ys, p in hs.items():
+                    acc[ys] = acc.get(ys, 0) + p
+            done.append(acc)
         return done
 
     def truncation(self) -> dict:
@@ -724,10 +738,9 @@ class _Observation:
                 out += code[c]
             return tuple(out)
 
-        done = {i: Dist._trusted({decode(k): p for k, p in acc.items()},
-                                 self.scale)
-                for i, acc in self.histories().items()}
-        return {xs: done[id(w)] for xs, w in self.j.items()}
+        done = [Dist._trusted({decode(k): p for k, p in acc.items()},
+                              self.scale) for acc in self.histories()]
+        return {xs: done[i] for xs, i in self.prefixes()}
 
 
 class NStageProcess:
@@ -782,16 +795,22 @@ def observe(f: Stream, n: int, cap: Optional[int] = None) -> NStageProcess:
                          Kernel(in_shape, sum(out_shapes, ()), joint))
 
 
+def _linked_pairs(pairs: set, a: _Observation, b: _Observation) -> set:
+    """The pairs (table of ``a``, table of ``b``) that input prefixes reach
+    at the tick both just stepped, from ``pairs`` along their links."""
+    la, lb = a.steps[-1][1], b.steps[-1][1]
+    return {p for i, j in pairs for p in zip(la[i], lb[j])}
+
+
 def _compare(f: Stream, g: Stream, n: int, cap: Optional[int]) -> tuple:
     """``(k, a, b)``: the first tick k <= n whose truncations of ``f`` and
-    ``g`` differ, or None, and the observations of both, stopped at the
-    tick that decided it (k, or n when none differs), whose
-    ``truncation()`` ``check`` prints. The two observations share one code
-    table, so their integer history keys are equal exactly where the
-    histories are, and each tick compares each distinct pair of tables as
-    they are, with integer weights over the scales ``sa`` and ``sb``: the
-    same keys, and ``wa * sb == wb * sa``. It builds no ``Dist`` and
-    decodes no key."""
+    ``g`` differ, or None, and the observations of both, stopped at tick k
+    (n when none differs), whose ``truncation()`` ``check`` prints. The
+    two share one code table, so their history keys are equal exactly
+    where the histories are. Each tick compares each pair of tables of
+    :func:`_linked_pairs` as they are, integer weights over the scales
+    ``sa`` and ``sb``: the same keys, and ``wa * sb == wb * sa``. It
+    builds no ``Dist``, decodes no key and walks no prefix."""
     if f.in_seq != g.in_seq or f.out_seq != g.out_seq:
         raise ShapeMismatch(
             f"interfaces differ: {f.in_seq!r} -> {f.out_seq!r} vs "
@@ -799,11 +818,13 @@ def _compare(f: Stream, g: Stream, n: int, cap: Optional[int]) -> tuple:
     a, b = _Observation(f, cap), _Observation(g, cap)
     b.codes = a.codes
     a.horizon = b.horizon = n
+    pairs = {(0, 0)}
     for k in range(n + 1):
         a.advance()
         b.advance()
+        pairs = _linked_pairs(pairs, a, b)
         ha, hb, sa, sb = a.histories(), b.histories(), a.scale, b.scale
-        for i, j in {(id(w), id(b.j[xs])) for xs, w in a.j.items()}:
+        for i, j in pairs:
             da, db = ha[i], hb[j]
             if (da != db if sa == sb else da.keys() != db.keys() or any(
                     w * sb != db[ys] * sa for ys, w in da.items())):

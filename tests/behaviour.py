@@ -16,13 +16,35 @@ The matrix, over the 7 program files of ``programs/`` and
 - ``check --horizon 4`` between every ordered pair of the files, in json
   and plain.
 
+Those programs are closed, so every ``check`` among them observes the one
+empty input prefix. A last block, ``check --horizon 5`` in json and plain
+over the pairs of IR term literals of ``TERM_PAIRS``, observes programs
+whose enumerable inputs give many prefixes:
+
+- equal pairs: a coin beside a discarded input, against itself; a buffered
+  input beside a coin, against the same wired another way; the identity on
+  {0,1,2}, against a copy with one half discarded;
+- pairs that differ at tick 0, 1 and 2, so that ``check`` prints the
+  tables of 2, 16 and 8 prefixes a side;
+- pairs whose interfaces differ (exit 3).
+
+The coin beside a discarded input passes ``--state-cap`` 1000 at tick 4
+(1024 entries), and the identity on {0,1,2} passes 40 at tick 3 part way
+through the tick's prefixes. The term digests were written by the engine
+that still mapped every input prefix to its table.
+
 ``exact`` and ``check`` each run with no cap and with ``--state-cap`` 3, 40
 and 1000. Exit codes 0, 1, 3 and 5 occur.
 
 Run ``python tests/behaviour.py`` to compare with ``DIGESTS``, or with
-``--write`` to rewrite it after an intended change of output.
+``--write`` to rewrite it after an intended change of output. With
+``--src DIR`` it runs the matrix on the engine in ``DIR``, such as another
+checkout's ``src/``, in place of this checkout's, and compares with this
+checkout's ``DIGESTS``: ``python tests/behaviour.py --src ../parent/src``
+prints the first command whose output the other engine changes.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -38,6 +60,22 @@ FILES = ["programs/counters.ms", "programs/ehrenfest.ms", "programs/fib.ms",
          "bench/programs/ehrenfest.ms", "bench/programs/fib.ms"]
 CAPS = [[], ["--state-cap", "3"], ["--state-cap", "40"],
         ["--state-cap", "1000"]]
+COIN = "par(discard[{0,1}@0], unif{0,1}@0)"
+DELAYED_DRAW = "seq(unif{0,%s}@0, seq(wait[int@0], wait[int@1]))"
+TERM_PAIRS = [
+    (COIN, COIN),
+    ("par(wait[{0,1}@0], unif{0,1}@0)",
+     "seq(par(id[{0,1}@0], unif{0,1}@0), par(wait[{0,1}@0], id[int@0]))"),
+    ("id[{0,1,2}@0]",
+     "seq(copy[{0,1,2}@0], par(id[{0,1,2}@0], discard[{0,1,2}@0]))"),
+    (COIN, "par(discard[{0,1}@0], const(0:int)@0)"),
+    ("par(wait[{0,1}@0], wait[{0,1}@0])",
+     "seq(sym[{0,1}@0|{0,1}@0], par(wait[{0,1}@0], wait[{0,1}@0]))"),
+    (f"par(id[{{0,1}}@0], {DELAYED_DRAW % 1})",
+     f"par(id[{{0,1}}@0], {DELAYED_DRAW % 2})"),
+    (COIN, "id[{0,1}@0]"),
+    ("id[{0,1}@0]", "id[{0,1,2}@0]"),
+]
 
 
 def commands():
@@ -52,6 +90,9 @@ def commands():
     for a, b in itertools.product(FILES, repeat=2):
         for fmt, cap in itertools.product(["json", "plain"], CAPS):
             yield ["check", a, b, "--horizon", "4", "--format", fmt, *cap]
+    for (a, b), fmt, cap in itertools.product(TERM_PAIRS, ["json", "plain"],
+                                              CAPS):
+        yield ["check", a, b, "--horizon", "5", "--format", fmt, *cap]
 
 
 def record(argv) -> bytes:
@@ -90,9 +131,17 @@ def first_difference(got, want):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
+    parser = argparse.ArgumentParser(
+        description="Compare the command matrix with its digests.")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--write", action="store_true",
+                       help="rewrite the digests from this checkout")
+    group.add_argument("--src", metavar="DIR", default=ROOT / "src",
+                       help="run the engine in DIR instead of src/")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
     lines = digests()
-    if sys.argv[1:] == ["--write"]:
+    if args.write:
         DIGESTS.write_text("\n".join(lines) + "\n")
         print(f"wrote {len(lines)} digests to {DIGESTS.name}")
     else:

@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from mstream.stream_core import (
     Stream,
     _Observation,
     _compare,
+    _linked_pairs,
     copy_stream,
     delay,
     discard_stream,
@@ -75,7 +78,7 @@ from mstream import (
 )
 from mstream.sfg_ir import random_term_of_type
 from mstream.values import value_key, value_str
-from scaling import nest, stateful_chain
+from scaling import instructions, nest, stateful_chain
 
 F = Fraction
 ONE = F(1)
@@ -778,9 +781,9 @@ def test_cap_sweep_matches_fraction_reference(monkeypatch):
         last = self.t - 1 == self.horizon
         horizons.append(last)
         if last:  # one group per table, under the empty memory row
-            assert all(list(w) == [()] for w in self.j.values())
-        entries.append(sum(len(hs) for w in self.j.values()
-                           for hs in w.values()))
+            assert all(list(w) == [()] for w in self.tables)
+        entries.append(sum(len(hs) for _, i in self.prefixes()
+                           for hs in self.tables[i].values()))
 
     def referencing(self):
         ref_advance(self)
@@ -837,9 +840,143 @@ def test_prefixes_that_reach_one_table_share_it():
     obs = _Observation(f)
     for t in range(5):
         obs.advance()
-        assert len(obs.j) == 4 ** (t + 1)
-        assert len({id(w) for w in obs.j.values()}) == 1, f"tick {t}"
+        assert len(list(obs.prefixes())) == 4 ** (t + 1)
+        assert {i for _, i in obs.prefixes()} == {0}, f"tick {t}"
+        assert len(obs.tables) == 1, f"tick {t}"
+        assert obs.counts == [4 ** (t + 1)], f"tick {t}"
     assert observe(f, 4).kernel.table() == ref_observe(f, 4, 10 ** 6)
+
+
+def table_graph_mismatch(f, g, horizon, cap):
+    """Steps ``f`` and ``g`` as ``_compare`` does, to ``horizon``, and
+    after every tick checks the table graph of each side against its input
+    prefixes: ``prefixes()`` lists the product of the ticks' input rows in
+    order, each with the table its own walk along the links reaches,
+    ``counts`` counts the prefixes that reach each table, no two tables are
+    equal, and the pairs ``_linked_pairs`` carries are the pairs of tables
+    that the prefixes reach on the two sides. Returns the first mismatch,
+    or None, and the largest pair set carried."""
+    a, b = _Observation(f, cap), _Observation(g, cap)
+    b.codes = a.codes
+    a.horizon = b.horizon = horizon
+    pairs, x_rows, widest = {(0, 0)}, [], 1
+    for t in range(horizon + 1):
+        a.advance()
+        b.advance()
+        pairs = _linked_pairs(pairs, a, b)
+        x_rows.append(list(enumerate_rows(f.x.at(t))))
+        want = [sum(xs, ()) for xs in product(*x_rows)]
+        got = []
+        for side, obs in (("a", a), ("b", b)):
+            prefixes = list(obs.prefixes())
+            if [xs for xs, _ in prefixes] != want:
+                return f"tick {t}, side {side}: prefixes", widest
+            walked = []
+            for ks in product(*(range(len(r)) for r, _ in obs.steps)):
+                i = 0
+                for k, (_, links) in zip(ks, obs.steps):
+                    i = links[i][k]
+                walked.append(i)
+            if [i for _, i in prefixes] != walked:
+                return f"tick {t}, side {side}: links", widest
+            if Counter(i for _, i in prefixes) != dict(enumerate(obs.counts)):
+                return f"tick {t}, side {side}: counts", widest
+            if any(u == v for u, v in combinations(obs.tables, 2)):
+                return f"tick {t}, side {side}: equal tables", widest
+            got.append([i for _, i in prefixes])
+        if pairs != set(zip(*got)):
+            return f"tick {t}: pairs", widest
+        widest = max(widest, len(pairs))
+    return None, widest
+
+
+def test_table_graph_matches_its_prefixes():
+    """The table graph of ``_Observation`` against its input prefixes, on
+    the random pairs of terms, each term against itself followed by the
+    identity, the hand-built streams of the comparison tests, and terms
+    whose outputs read their inputs, so that prefixes reach many tables,
+    shared or not, and the two sides pair them in many ways."""
+    horizon, cap = 3, 20_000
+    pairs = []
+    for seed in range(40):
+        ow, t, u = random_pair_of_terms(seed)
+        pairs += [(compile_term(lhs, FIN), compile_term(rhs, FIN))
+                  for lhs, rhs in ((t, u), (t, seq_term(t, Id(ow))),
+                                   (u, seq_term(u, Id(ow))))]
+    fair, biased = uniform([(0,), (1,)]), Dist({(0,): F(1, 3), (1,): F(2, 3)})
+    one_first = biased_coin_stream({(1,): F(1, 4), (0,): F(3, 4)})
+    pairs += [(hidden_walk_stream(), hidden_draw_stream(fair)),
+              (stored_coin_stream(), coin_stream()),
+              (coin_stream(), hidden_draw_stream(fair)),
+              (coin_stream(), hidden_draw_stream(fair, fair, biased)),
+              (one_first, biased_coin_stream({(0,): F(3, 4), (1,): F(1, 4)})),
+              (one_first, coin_stream())]
+    pairs += [(compile_term(read_term(lhs), SIG),
+               compile_term(read_term(rhs), SIG)) for lhs, rhs in (
+        ("par(id[{0,1}@0], discard[{0,1}@0])",
+         "par(discard[{0,1}@0], id[{0,1}@0])"),
+        ("par(wait[{0,1}@0], wait[{0,1}@0])",
+         "seq(sym[{0,1}@0|{0,1}@0], par(wait[{0,1}@0], wait[{0,1}@0]))"),
+        ("par(wait[{0,1,2}@0], unif{0,1}@0)",
+         "seq(par(id[{0,1,2}@0], unif{0,1}@0), par(wait[{0,1,2}@0], "
+         "id[int@0]))"))]
+    checked, widest = 0, []
+    for i, (f, g) in enumerate(pairs):
+        try:
+            mismatch, most = table_graph_mismatch(f, g, horizon, cap)
+        except StateCapExceeded:
+            continue
+        assert mismatch is None, f"pair {i}: {mismatch}"
+        checked += 1
+        widest.append(most)
+    assert checked >= 100
+    assert sum(n > 1 for n in widest) >= 8
+
+
+def test_tables_that_share_a_key_stay_apart():
+    """Unequal tables can share the key ``advance`` files them under: on
+    input 1 a uniform output over three rows, on inputs 0 and 2 masses 1/6,
+    4/6 and 1/6 (three histories each, weights 2, 2, 2 against 1, 4, 1 over
+    6, and key times weight 0 + 2 + 4 against 0 + 4 + 2). The two tables
+    stay apart, and input 2 finds input 0's table past input 1's."""
+    skewed = Dist({(0,): F(1, 6), (1,): F(2, 3), (2,): F(1, 6)})
+    flat = uniform([(0,), (1,), (2,)])
+    k = Kernel((I3,), (I3,), lambda r: flat if r == (1,) else skewed)
+    f = Stream(ShapeSeq.constant((I3,)), ShapeSeq.constant((I3,)),
+               ShapeSeq.constant(()), (), k)
+    obs = _Observation(f)
+    obs.advance()
+    assert obs.tables == [{(): {0: 1, 1: 4, 2: 1}}, {(): {0: 2, 1: 2, 2: 2}}]
+    assert obs.counts == [2, 1]
+    assert obs.steps[0][1] == [[0, 1, 0]]
+
+
+def test_check_work_does_not_grow_with_ignored_inputs():
+    """A constant beside a discarded input reaches one table per tick
+    however many input prefixes there are: comparing it with itself to
+    tick 6 over 4 input letters (16 384 prefixes) executes at most 2.5
+    times the bytecode instructions it does over 2 letters (128)."""
+    def counted(letters):
+        s = compile_term(read_term(
+            f"par(discard[{letters}@0], const(0:int)@0)"), SIG)
+        return instructions(lambda s: first_difference(s, s, 6), s)
+
+    (k2, n2), (k4, n4) = counted("{0,1}"), counted("{0,1,2,3}")
+    assert k2 is None and k4 is None
+    assert n4 <= 2.5 * n2, (n2, n4)
+
+
+def test_check_work_grows_with_the_tables_it_keeps():
+    """The identity reaches a table of its own from every input prefix,
+    each with one history of the same weight: comparing it with itself to
+    tick 9 (1024 prefixes a side) executes at most 2.5 times the bytecode
+    instructions it does to tick 8 (512), so telling its tables apart does
+    not compare each new table with every one built before it."""
+    s = compile_term(read_term("id[{0,1}@0]"), SIG)
+    (k8, n8), (k9, n9) = [instructions(
+        lambda s: first_difference(s, s, h), s) for h in (8, 9)]
+    assert k8 is None and k9 is None
+    assert n9 <= 2.5 * n8, (n8, n9)
 
 
 def fraction_marginals(f, n, cap):
@@ -992,16 +1129,18 @@ def test_compare_weighs_tables_over_different_scales():
             observe(h, at, cap).kernel.table() for h in (coin_stream(), g)]
 
 
+def biased_coin_stream(masses):
+    """A coin over {0,1} whose ``Dist`` lists its rows as ``masses`` does."""
+    return lift_const(Kernel((), (I01,), lambda r: Dist(masses)))
+
+
 def test_sides_share_one_code_table():
     """Two coins with one bias, whose ``Dist``s list their rows in opposite
     orders, meet their output rows in opposite orders: the two sides code
     each row alike, so they agree, and truncations decode to each side's
     own tables."""
-    def coin(masses):
-        return lift_const(Kernel((), (I01,), lambda r: Dist(masses)))
-
-    one_first = coin({(1,): F(1, 4), (0,): F(3, 4)})
-    zero_first = coin({(0,): F(3, 4), (1,): F(1, 4)})
+    one_first = biased_coin_stream({(1,): F(1, 4), (0,): F(3, 4)})
+    zero_first = biased_coin_stream({(0,): F(3, 4), (1,): F(1, 4)})
     k, a, b = _compare(one_first, zero_first, 3, None)
     assert k is None
     assert list(a.codes[0]) == [(1,), (0,)]
@@ -1026,7 +1165,7 @@ def test_history_keys_wider_than_64_bits(tmp_path):
     obs.horizon = 80
     for _ in range(81):
         obs.advance()
-    assert max(k for acc in obs.histories().values() for k in acc) >= 2 ** 64
+    assert max(k for acc in obs.histories() for k in acc) >= 2 ** 64
     assert observe(held, 80).dist() == Dist({(0,) * 81: F(1, 2),
                                              (1,) * 81: F(1, 2)})
 
@@ -1047,6 +1186,14 @@ def test_history_keys_wider_than_64_bits(tmp_path):
         observe(h, 70).kernel.table() for h in (held, late)]
     assert b.truncation()[()] == Dist({(0,) * 70 + (1,): F(1, 2),
                                        (1,) * 70 + (2,): F(1, 2)})
+
+
+def test_joint_observation_runs_past_the_recursion_limit():
+    """Listing the input prefixes recurses on no tick: a constant observed
+    to a horizon past Python's recursion limit gives its one row."""
+    n = sys.getrecursionlimit() + 10
+    zero = lift_const(det_kernel((), (I01,), lambda r: (0,)))
+    assert observe(zero, n).dist() == dirac((0,) * (n + 1))
 
 
 def test_joint_rejects_a_row_that_is_no_input_prefix():
